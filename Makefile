@@ -42,9 +42,9 @@ conformance:
 	$(GO) run ./cmd/paperbench -conformance
 
 # The perf-trajectory benchmarks: the kernel hot loop (fast-path Sync cost
-# vs the channel-handoff worst case) and the grid benchmarks (litmus suite
-# and full figure matrix at increasing worker-pool bounds), then the full
-# regeneration's timing/throughput record.
+# vs the coroutine-handoff worst case among 2 and 64 processors) and the
+# grid benchmarks (litmus suite and full figure matrix at increasing
+# worker-pool bounds), then the full regeneration's timing/throughput record.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineHotLoop|BenchmarkSyncRoundtrip' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkLitmusSuite|BenchmarkFigureGrid' -benchmem .

@@ -135,7 +135,7 @@ var watchedMetrics = []watchedMetric{
 // sim.yields, is watched unconditionally above), and the scope
 // classification counters exist only on sharded records.
 var sameModeMetrics = []watchedMetric{
-	{"sim.switches", +1},                    // fast-path degradation: more channel handoffs
+	{"sim.switches", +1},                    // fast-path degradation: more coroutine handoffs
 	{"sim.fastpath_hits", -1},               // fast-path degradation: fewer inline returns
 	{"machine.scope.local_dispatches", -1},  // scope-classification coverage: fewer shard-local traps
 	{"machine.scope.global_dispatches", +1}, // scope-classification coverage: more serialized traps

@@ -402,7 +402,7 @@ type Env struct {
 	// injection, and for memory systems without a scope probe — every trap
 	// then dispatches global-scope exactly as before. probeAddr is written
 	// by this Env's processor before it traps and read by the kernel's
-	// dispatch points; the trap's channel hand-off orders the two.
+	// dispatch points; the trap's coroutine switch orders the two.
 	loadProbe  func() bool
 	storeProbe func() bool
 	swapProbe  func() bool

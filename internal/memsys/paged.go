@@ -9,12 +9,18 @@ package memsys
 // pages are fixed-size slabs allocated on first touch, and a steady-state
 // access is two array indexings with no hashing, no per-entry pointers, and
 // no allocation.
+//
+// Pages are 512 elements. Every machine builds its tables fresh, and most
+// of them touch only a small part of each page, so the page size is what
+// first touch costs: the zeroing of the new slab and the garbage it leaves
+// for the collector. 4096-element pages made that zeroing one of the
+// simulator's largest host-time costs.
 
 const (
-	// pageShift sets the page size: 1<<pageShift elements per page. 4096
-	// elements keeps the page vector tiny for realistic heaps while bounding
-	// the over-allocation of a sparse touch to one slab.
-	pageShift = 12
+	// pageShift sets the page size: 1<<pageShift elements per page. 512
+	// elements keeps the page vector small for realistic heaps while bounding
+	// the over-allocation of a sparse touch to one small slab.
+	pageShift = 9
 	pageLen   = 1 << pageShift
 	pageMask  = pageLen - 1
 )
@@ -68,12 +74,19 @@ func (t *Paged[T]) Load(i uint64) T {
 	return zero
 }
 
-// grow extends the page vector to cover page pi (amortized: it happens only
-// when the heap's high-water mark crosses into a new page).
+// grow extends the page vector to cover page pi in one step, at least
+// doubling its capacity (amortized: it happens only when the heap's
+// high-water mark crosses into a new page, and a far sparse touch costs
+// one allocation, not one append per skipped page).
 func (t *Paged[T]) grow(pi uint64) {
-	for uint64(len(t.pages)) <= pi {
-		t.pages = append(t.pages, nil)
+	n := int(pi) + 1
+	if n > cap(t.pages) {
+		pages := make([][]T, n, max(n, 2*cap(t.pages)))
+		copy(pages, t.pages)
+		t.pages = pages
+		return
 	}
+	t.pages = t.pages[:n] // the vector never shrinks, so the tail is nil
 }
 
 // ForEach visits every element of every allocated page in ascending index

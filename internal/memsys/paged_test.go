@@ -77,6 +77,89 @@ func TestPagedForEach(t *testing.T) {
 	}
 }
 
+// TestPagedPageBoundaries writes the first and last element of pages 0–2
+// and reads each back through At, Peek, Load and ForEach: every write lands
+// on its own page and leaves its neighbours zero.
+func TestPagedPageBoundaries(t *testing.T) {
+	if pageLen != 512 {
+		t.Fatalf("pageLen = %d, want 512", pageLen)
+	}
+	var p Paged[uint64]
+	edges := []uint64{0, pageLen - 1, pageLen, 2*pageLen - 1, 2 * pageLen, 3*pageLen - 1}
+	for _, i := range edges {
+		*p.At(i) = i + 1
+	}
+	if p.Pages() != 3 {
+		t.Fatalf("Pages = %d, want 3", p.Pages())
+	}
+	for _, i := range edges {
+		if got := p.Load(i); got != i+1 {
+			t.Errorf("Load(%d) = %d, want %d", i, got, i+1)
+		}
+		if got := *p.Peek(i); got != i+1 {
+			t.Errorf("Peek(%d) = %d, want %d", i, got, i+1)
+		}
+		if got := *p.At(i); got != i+1 {
+			t.Errorf("At(%d) = %d, want %d", i, got, i+1)
+		}
+	}
+	for _, i := range []uint64{1, pageLen - 2, pageLen + 1, 2*pageLen + 1} {
+		if got := p.Load(i); got != 0 {
+			t.Errorf("neighbour Load(%d) = %d, want 0", i, got)
+		}
+	}
+	if p.Peek(3*pageLen) != nil || p.Load(3*pageLen) != 0 {
+		t.Error("page 3 must stay untouched")
+	}
+	var visited uint64
+	var nonzero []uint64
+	p.ForEach(func(i uint64, v *uint64) {
+		if i != visited {
+			t.Fatalf("ForEach visited %d, want %d (ascending, no gaps)", i, visited)
+		}
+		visited++
+		if *v != 0 {
+			nonzero = append(nonzero, i)
+		}
+	})
+	if visited != 3*pageLen {
+		t.Errorf("ForEach visited %d elements, want %d", visited, 3*pageLen)
+	}
+	if len(nonzero) != len(edges) {
+		t.Fatalf("ForEach saw nonzero %v, want %v", nonzero, edges)
+	}
+	for k := range edges {
+		if nonzero[k] != edges[k] {
+			t.Fatalf("ForEach saw nonzero %v, want %v", nonzero, edges)
+		}
+	}
+}
+
+// TestPagedGrowKeepsPages: growing the page vector for a far touch, then
+// again past its capacity, keeps every earlier page and leaves the gap
+// between them untouched.
+func TestPagedGrowKeepsPages(t *testing.T) {
+	var p Paged[int]
+	*p.At(5) = 5
+	*p.At(1000*pageLen + 3) = 1000
+	*p.At(7 * pageLen) = 7
+	*p.At(5000 * pageLen) = 5000
+	for _, c := range []struct {
+		i    uint64
+		want int
+	}{{5, 5}, {1000*pageLen + 3, 1000}, {7 * pageLen, 7}, {5000 * pageLen, 5000}} {
+		if got := p.Load(c.i); got != c.want {
+			t.Errorf("Load(%d) = %d, want %d", c.i, got, c.want)
+		}
+	}
+	if p.Pages() != 4 {
+		t.Errorf("Pages = %d, want 4", p.Pages())
+	}
+	if p.Peek(999*pageLen) != nil || p.Peek(4999*pageLen) != nil {
+		t.Error("gap pages must stay untouched")
+	}
+}
+
 func TestPagedSteadyStateZeroAlloc(t *testing.T) {
 	var p Paged[uint64]
 	*p.At(1) = 1

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"zsim/internal/sim"
 )
 
 // withParallelism runs f with the pool bound set to n, restoring the
@@ -116,6 +118,44 @@ func TestGridPanicDrainsPool(t *testing.T) {
 						panic(fmt.Sprintf("boom %d", i))
 					}
 					return i, nil
+				})
+			})
+		})
+	}
+}
+
+// TestGridSurfacesBodyPanic: a simulated processor body that panics inside
+// a cell is an ordinary cell panic. The engine hands it to the cell, the
+// other cells still run, and Grid re-raises it, which is what lets a
+// zsimd job fail without taking the daemon down.
+func TestGridSurfacesBodyPanic(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			withParallelism(2, func() {
+				var ran [8]atomic.Bool
+				defer func() {
+					if r := recover(); r != "body panic in cell 3" {
+						t.Fatalf("recovered %v, want the body's panic", r)
+					}
+					for i := range ran {
+						if !ran[i].Load() {
+							t.Fatalf("cell %d never ran after a body panicked", i)
+						}
+					}
+				}()
+				Grid(len(ran), func(i int) (sim.Time, error) {
+					ran[i].Store(true)
+					e := sim.NewEngine(4)
+					if shards > 0 {
+						e = sim.NewEngineSharded(4, shards, func(p int) int { return p % shards })
+					}
+					return e.Run(func(p *sim.Proc) {
+						p.Advance(sim.Time(1 + p.ID()))
+						p.Sync()
+						if i == 3 && p.ID() == 2 {
+							panic(fmt.Sprintf("body panic in cell %d", i))
+						}
+					}), nil
 				})
 			})
 		})

@@ -126,18 +126,17 @@ const (
 
 // shard is one partition of the processor set with its own run queue. Its
 // mutable state is owned by the coordinator between windows and by the
-// shard's window goroutine inside one; the hand-off in both directions is a
-// channel operation, so there is no concurrent access.
+// shard's window goroutine inside one; the go statement and the window
+// barrier order the hand-off in both directions, so there is no concurrent
+// access.
 type shard struct {
 	id  int
 	eng *Engine
 	//zlint:confine global a cross-shard Unblock pushes the woken processor onto the waker's target shard queue; the engine's hand-off serializes it
 	runq procHeap
-	// yield receives the trap messages of this shard's processors. The
-	// currently running processor always yields to its own shard's channel;
-	// in the serial phase the coordinator listens on the dispatched
-	// processor's shard channel.
-	yield chan yieldMsg
+	// panicked is the value of a body panic caught by this shard's window
+	// goroutine; the coordinator re-raises it after the barrier.
+	panicked any
 
 	// Window-phase accounting (the serial phase accounts on the Engine).
 	switches uint64 // window dispatches
@@ -229,7 +228,7 @@ func NewEngineSharded(n, shards int, shardOf func(proc int) int) *Engine {
 	e := NewEngine(n)
 	e.shards = make([]*shard, shards)
 	for i := range e.shards {
-		e.shards[i] = &shard{id: i, eng: e, yield: make(chan yieldMsg)}
+		e.shards[i] = &shard{id: i, eng: e}
 	}
 	for _, p := range e.procs {
 		s := shardOf(p.id)
@@ -294,7 +293,7 @@ func (p *Proc) SyncLocal() {
 
 // syncSharded is the sharded-mode trap: record the pending operation's
 // scope, take the fast path when dispatch order provably cannot change, and
-// otherwise yield to this processor's shard channel.
+// otherwise switch back to whichever loop dispatched this processor.
 func (p *Proc) syncSharded(sc scope) {
 	e := p.eng
 	if e.aborting {
@@ -325,8 +324,7 @@ func (p *Proc) syncSharded(sc scope) {
 		p.dispatchAt = p.clock
 		return
 	}
-	s.yield <- yieldMsg{p, yieldRunnable}
-	<-p.resume
+	p.trap(yieldRunnable)
 }
 
 // SyncScoped is Sync with the scope decision deferred to dispatch time: the
@@ -394,8 +392,7 @@ func (p *Proc) SyncScoped(probe func() bool) bool {
 		p.dispatchAt = p.clock
 		return sc == scopeLocal
 	}
-	s.yield <- yieldMsg{p, yieldRunnable}
-	<-p.resume
+	p.trap(yieldRunnable)
 	// The dispatching side (stream loop or boundary) evaluated the probe and
 	// recorded the final classification before resuming us.
 	return p.pscope == scopeLocal
@@ -427,51 +424,23 @@ func (e *Engine) runnable() int {
 // engine's (clock, id) order) with window phases — a serial-prefix stream
 // on the minimal shard and local-only windows on the rest.
 func (e *Engine) runSharded(body func(p *Proc)) Time {
-	e.aborting = false
 	e.phase = phaseSerial
 	e.curShard = nil
 	e.curScope = scopeGlobal
 	e.windows, e.streams, e.xUnblocks = 0, 0, 0
 	for _, s := range e.shards {
 		s.runq = s.runq[:0]
+		s.panicked = nil
 		s.switches, s.blocks, s.fastPathHits, s.dispatches = 0, 0, 0, 0
 		s.win, s.hz = winNone, horizon{}
 		s.capped, s.capClock, s.capID = false, 0, 0
 		s.windowDone, s.windowFinish = 0, 0
 		s.wmClock, s.wmID = 0, -1
 	}
+	e.start(body)
+	defer e.contain()
 	for _, p := range e.procs {
-		p.clock = 0
-		p.blocked = false
-		p.done = false
-		p.pscope = scopeGlobal // a body's first operation has unknown scope
-		p.probe = nil
-		p.dispatchAt = 0
-	}
-	for _, p := range e.procs {
-		p := p
 		p.shd.runq.push(p)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortRun); ok {
-						e.drained <- struct{}{}
-						return
-					}
-					panic(r)
-				}
-			}()
-			<-p.resume
-			if e.aborting {
-				panic(abortRun{})
-			}
-			body(p)
-			p.done = true
-			if e.aborting {
-				panic(abortRun{})
-			}
-			p.shd.yield <- yieldMsg{p, yieldDone}
-		}()
 	}
 
 	remaining := len(e.procs)
@@ -490,9 +459,7 @@ func (e *Engine) runSharded(body func(p *Proc)) Time {
 		}
 		if bound == nil {
 			// No runnable processor anywhere: deadlock.
-			dump := e.stateDump()
-			e.drainDeadlocked()
-			panic("sim: deadlock\n" + dump)
+			panic("sim: deadlock\n" + e.stateDump())
 		}
 
 		// Quiescent point: everything is parked and every future dispatch
@@ -574,6 +541,14 @@ func (e *Engine) runSharded(body func(p *Proc)) Time {
 					for i := 0; i < launched; i++ {
 						<-e.phaseDone
 					}
+					// A body panic caught by a window goroutine surfaces
+					// here, lowest shard first, once every window parked.
+					for _, s := range e.shards {
+						if r := s.panicked; r != nil {
+							s.panicked = nil
+							panic(r)
+						}
+					}
 				}
 				e.phase = phaseSerial
 				// Harvest in shard order so the aggregation is deterministic.
@@ -611,18 +586,16 @@ func (e *Engine) runSharded(body func(p *Proc)) Time {
 		e.curShard = s
 		e.curScope = p.pscope
 		p.dispatchAt = p.clock
-		p.resume <- struct{}{}
-		m := <-s.yield
-		switch m.kind {
-		case yieldRunnable:
-			m.p.shd.runq.push(m.p)
-		case yieldBlocked:
-			e.blocks++
-		case yieldDone:
+		switch kind, live := p.next(); {
+		case !live:
 			remaining--
-			if m.p.clock > finish {
-				finish = m.p.clock
+			if p.clock > finish {
+				finish = p.clock
 			}
+		case kind == yieldBlocked:
+			e.blocks++
+		default:
+			s.runq.push(p)
 		}
 	}
 	return finish
@@ -630,10 +603,15 @@ func (e *Engine) runSharded(body func(p *Proc)) Time {
 
 // runWindow drains this shard's admitted window work for one phase, then
 // reports at the barrier. It runs on its own goroutine; its processors run
-// strictly one at a time within the shard, in (clock, id) order.
+// strictly one at a time within the shard, in (clock, id) order. A body
+// panic ends the window early and is handed to the coordinator, which
+// re-raises it on Run's goroutine.
 func (s *shard) runWindow() {
+	defer func() {
+		s.panicked = recover()
+		s.eng.phaseDone <- s
+	}()
 	s.windowLoop()
-	s.eng.phaseDone <- s
 }
 
 // windowLoop is one shard's window-phase dispatch loop, shared by the
@@ -666,31 +644,18 @@ func (s *shard) windowLoop() {
 		s.wmClock, s.wmID = p.clock, p.id
 		e.mRunqDepth.Observe(uint64(len(s.runq)))
 		p.dispatchAt = p.clock
-		p.resume <- struct{}{}
-		m := <-s.yield
-		switch m.kind {
-		case yieldRunnable:
-			s.runq.push(m.p)
-		case yieldBlocked:
-			s.blocks++
-		case yieldDone:
+		switch kind, live := p.next(); {
+		case !live:
 			s.windowDone++
-			if m.p.clock > s.windowFinish {
-				s.windowFinish = m.p.clock
+			if p.clock > s.windowFinish {
+				s.windowFinish = p.clock
 			}
+		case kind == yieldBlocked:
+			s.blocks++
+		default:
+			s.runq.push(p)
 		}
 	}
-}
-
-// drainShardedRunq pops every queued processor across all shards during the
-// deadlock drain.
-func (e *Engine) drainShardedRunq() (p *Proc, ok bool) {
-	for _, s := range e.shards {
-		if q, got := s.runq.pop(); got {
-			return q, true
-		}
-	}
-	return nil, false
 }
 
 // shardMetrics publishes the sharded-mode counters: window phases advanced,

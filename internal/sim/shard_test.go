@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -481,6 +482,57 @@ func TestShardedDeadlockDrainRunsDefers(t *testing.T) {
 	}()
 	if got := deferred.Load(); got != 4 {
 		t.Errorf("defers run during drain = %d, want 4", got)
+	}
+}
+
+// TestShardedBodyPanicContained pins the serial engine's body-panic
+// contract on sharded engines: with zero lookahead the panic surfaces from
+// a boundary dispatch on the coordinator.
+func TestShardedBodyPanicContained(t *testing.T) {
+	checkBodyPanicContained(t, NewEngineSharded(4, 2, evenOdd))
+}
+
+// TestShardedWindowPanicContained: a body panicking inside a local window
+// run on a window goroutine rather than the coordinator reaches the caller
+// of Run with its original value after the barrier, and leaves no goroutine
+// behind and the engine reusable. P2 panics in shard 0's window while P3,
+// shard 1's global-scope head, has not been dispatched yet: every body that
+// started has its defers run, and P3's body never starts.
+func TestShardedWindowPanicContained(t *testing.T) {
+	e := NewEngineSharded(4, 2, evenOdd)
+	e.SetLookahead(1000)
+	var started, unwound [4]atomic.Bool
+	body := func(p *Proc) {
+		started[p.ID()].Store(true)
+		defer unwound[p.ID()].Store(true)
+		for i := 0; i < 20; i++ {
+			p.Advance(1)
+			p.SyncLocal()
+			if p.ID() == 2 && i == 5 {
+				panic("window boom")
+			}
+		}
+	}
+	if r := runRecovered(e, body); r != "window boom" {
+		t.Fatalf("Run panicked with %v, want the body's own \"window boom\"", r)
+	}
+	if e.Windows() == 0 {
+		t.Fatal("no window opened: the panic did not come from a window")
+	}
+	for i := range unwound {
+		if want := i != 3; started[i].Load() != want || unwound[i].Load() != want {
+			t.Errorf("P%d started=%v unwound=%v, want both %v", i, started[i].Load(), unwound[i].Load(), want)
+		}
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		runRecovered(e, body)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew from %d to %d across 50 panicking Runs", before, after)
+	}
+	if finish := e.Run(func(p *Proc) { p.Advance(3); p.SyncLocal() }); finish != 3 {
+		t.Errorf("post-panic run finish = %d, want 3", finish)
 	}
 }
 

@@ -3,8 +3,9 @@
 // paper: simulated processors run real Go code and trap into the simulator on
 // every globally visible operation (shared memory access, synchronization).
 //
-// Each simulated processor is a goroutine coupled to the engine through
-// channels so that exactly one goroutine runs at any instant. Every processor
+// Each simulated processor body is a coroutine (iter.Pull) driven by the
+// engine, so exactly one body runs at any instant and every hand-off is a
+// direct coroutine switch that bypasses the Go scheduler. Every processor
 // carries a local virtual clock; pure computation advances the clock without
 // involving the scheduler, while globally visible operations first call Sync,
 // which hands control back to the engine. The engine always resumes the
@@ -32,11 +33,17 @@ type Proc struct {
 	id      int
 	clock   Time
 	eng     *Engine
-	resume  chan struct{}
 	blocked bool
 	done    bool
 	// blockReason is a human-readable label for deadlock reports.
 	blockReason string
+
+	// The body's coroutine (coro.go): next resumes it until its next
+	// slow-path trap, yield is the trap's way back to the dispatching loop,
+	// and stop unwinds it at teardown.
+	next  func() (yieldKind, bool)
+	yield func(yieldKind) bool
+	stop  func()
 
 	// Sharded mode (see shard.go). shd is the owning shard (nil on a serial
 	// engine); pscope classifies the pending operation the processor will
@@ -81,17 +88,20 @@ func (p *Proc) AdvanceTo(t Time) {
 	}
 }
 
-type yieldKind int
+// yieldKind is what a suspended body tells the dispatching loop.
+type yieldKind uint8
 
 const (
 	yieldRunnable yieldKind = iota // back on the run queue
 	yieldBlocked                   // waiting for an Unblock
-	yieldDone                      // body returned
 )
 
-type yieldMsg struct {
-	p    *Proc
-	kind yieldKind
+// trap suspends the body until the dispatching loop resumes it, unwinding
+// it instead when the engine stopped its coroutine (teardown).
+func (p *Proc) trap(k yieldKind) {
+	if !p.yield(k) {
+		panic(abortRun{})
+	}
 }
 
 // Sync yields to the engine and returns when this processor is again the
@@ -100,12 +110,12 @@ type yieldMsg struct {
 // returning and the next yield no other processor runs, so the operation is
 // atomic at the processor's current clock.
 //
-// Fast path: exactly one goroutine runs at a time, so if the caller's clock
-// is still ahead of no runnable processor — it would be popped right back
-// off the run queue — the two channel handoffs (yield + resume, two
-// goroutine switches) are skipped entirely. The schedule is bit-identical
-// to the slow path's: the engine would have resumed this processor next in
-// either case, by the same (clock, id) order.
+// Fast path: exactly one body runs at a time, so if the caller's clock is
+// still ahead of no runnable processor — it would be popped right back off
+// the run queue — the coroutine switches to the engine and back are skipped
+// entirely. The schedule is bit-identical to the slow path's: the engine
+// would have resumed this processor next in either case, by the same
+// (clock, id) order.
 func (p *Proc) Sync() {
 	e := p.eng
 	if e.shards != nil {
@@ -119,8 +129,7 @@ func (p *Proc) Sync() {
 		e.fastPathHits++
 		return
 	}
-	e.yield <- yieldMsg{p, yieldRunnable}
-	<-p.resume
+	p.trap(yieldRunnable)
 }
 
 // Block parks the processor until another processor calls Unblock on it.
@@ -131,15 +140,7 @@ func (p *Proc) Block(reason string) {
 	}
 	p.blocked = true
 	p.blockReason = reason
-	if p.shd != nil {
-		p.shd.yield <- yieldMsg{p, yieldBlocked}
-	} else {
-		p.eng.yield <- yieldMsg{p, yieldBlocked}
-	}
-	<-p.resume
-	if p.eng.aborting {
-		panic(abortRun{})
-	}
+	p.trap(yieldBlocked)
 }
 
 // Unblock makes p runnable again, with its clock advanced to at least t
@@ -150,9 +151,8 @@ func (p *Proc) Unblock(t Time) {
 	e := p.eng
 	if !p.blocked {
 		if e.aborting {
-			// A deferred release during the deadlock drain may target a
-			// processor the engine has already forced out; let the unwind
-			// proceed.
+			// A deferred release during teardown may target a processor
+			// the engine has already forced out; let the unwind proceed.
 			return
 		}
 		panic(fmt.Sprintf("sim: Unblock of runnable processor %d", p.id))
@@ -160,10 +160,10 @@ func (p *Proc) Unblock(t Time) {
 	if e.shards != nil {
 		// Wake-ups mutate another shard's run queue, so they are only legal
 		// from a serialized global-scope operation (the window boundary),
-		// where exactly one goroutine runs. A local-scope operation waking
+		// where exactly one body runs. A local-scope operation waking
 		// anyone would race and could reorder against already-executed
-		// global operations. Both checks are skipped while the deadlock
-		// drain unwinds bodies (deferred releases run with stale state).
+		// global operations. Both checks are skipped while teardown
+		// unwinds bodies (deferred releases run with stale state).
 		if e.phase == phaseLocal {
 			panic(fmt.Sprintf("sim: Unblock of processor %d from inside a local shard window; wake-ups are only legal from global-scope operations", p.id))
 		}
@@ -207,8 +207,9 @@ func (p *Proc) Unblock(t Time) {
 // Blocked reports whether the processor is currently parked.
 func (p *Proc) Blocked() bool { return p.blocked }
 
-// abortRun is the sentinel panic used to unwind parked processor goroutines
-// when a deadlocked Run tears down; the per-processor wrappers recover it.
+// abortRun is the sentinel panic that unwinds a processor body when Run
+// tears down (deadlock or another body's panic); the coroutine wrapper
+// recovers it.
 type abortRun struct{}
 
 // Engine schedules a fixed set of simulated processors.
@@ -217,17 +218,15 @@ type abortRun struct{}
 type Engine struct {
 	procs []*Proc
 	runq  procHeap
-	yield chan yieldMsg
-	// drained receives one signal per processor goroutine unwound by the
-	// deadlock teardown; aborting makes Sync/Block panic(abortRun{}) instead
-	// of yielding, so unwinding bodies can never wedge on engine channels.
-	drained  chan struct{}
+	// aborting is set while teardown stops the unfinished coroutines: Sync
+	// and Block panic(abortRun{}) instead of trapping, and Unblock
+	// tolerates the stale state deferred releases see.
 	aborting bool
 
 	// Sharded mode (see shard.go); shards is nil on a serial engine.
 	// phase, horizon, and serialProc are written by the coordinator only
-	// while no processor goroutine runs (the hand-offs are channel
-	// operations, so every read is ordered after the write).
+	// while no processor body runs (coroutine switches and the window
+	// barrier order every read after the write).
 	shards    []*shard
 	lookahead Time
 	phase     phaseKind
@@ -252,10 +251,10 @@ type Engine struct {
 	// recorded live, because they cannot be reconstructed afterwards.
 	switches     uint64 // processor resumptions (scheduling events)
 	blocks       uint64 // Block calls observed
-	fastPathHits uint64 // Sync calls that skipped the yield/resume handoff
+	fastPathHits uint64 // Sync calls that skipped the switch to the engine
 
 	mRunqDepth *metrics.Histogram // runnable procs remaining after each pop
-	mDrains    *metrics.Counter   // goroutines unwound by deadlock teardown
+	mDrains    *metrics.Counter   // bodies unwound by teardown
 }
 
 // RunqDepthBuckets are the inclusive upper bounds of the sim.runq_depth
@@ -298,13 +297,11 @@ func NewEngine(n int) *Engine {
 		panic("sim: engine needs at least one processor")
 	}
 	e := &Engine{
-		procs:   make([]*Proc, 0, n),
-		runq:    make(procHeap, 0, n),
-		yield:   make(chan yieldMsg),
-		drained: make(chan struct{}),
+		procs: make([]*Proc, 0, n),
+		runq:  make(procHeap, 0, n),
 	}
 	for i := 0; i < n; i++ {
-		e.procs = append(e.procs, &Proc{id: i, eng: e, resume: make(chan struct{})})
+		e.procs = append(e.procs, &Proc{id: i, eng: e})
 	}
 	return e
 }
@@ -317,111 +314,90 @@ func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
 func (e *Engine) push(p *Proc) { e.runq.push(p) }
 
-// Run executes body on every processor (as goroutines multiplexed onto this
-// OS thread's attention one at a time) and returns the maximum finishing
-// clock, i.e. the parallel execution time. Run panics with a state dump if
-// the simulation deadlocks (all unfinished processors blocked).
+// Run executes body on every processor (as coroutines that run one at a
+// time) and returns the maximum finishing clock, i.e. the parallel
+// execution time. Run panics with a state dump if the simulation deadlocks
+// (all unfinished processors blocked). A panic in a body reaches the caller
+// of Run with its original value. Either way every other body is unwound
+// first, so its defers run, and the engine stays reusable.
 func (e *Engine) Run(body func(p *Proc)) Time {
 	if e.shards != nil {
 		return e.runSharded(body)
 	}
-	e.aborting = false
-	for _, p := range e.procs {
-		p.clock = 0
-		p.blocked = false
-		p.done = false
-	}
 	e.runq = e.runq[:0]
+	e.start(body)
+	defer e.contain()
 	for _, p := range e.procs {
-		p := p
 		e.push(p)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortRun); ok {
-						e.drained <- struct{}{}
-						return
-					}
-					panic(r)
-				}
-			}()
-			<-p.resume
-			if e.aborting {
-				panic(abortRun{})
-			}
-			body(p)
-			p.done = true
-			e.yield <- yieldMsg{p, yieldDone}
-		}()
 	}
 	remaining := len(e.procs)
 	var finish Time
 	for remaining > 0 {
 		p, ok := e.runq.pop()
 		if !ok {
-			dump := e.stateDump()
-			e.drainDeadlocked()
-			panic("sim: deadlock\n" + dump)
+			panic("sim: deadlock\n" + e.stateDump())
 		}
 		e.switches++
 		e.mRunqDepth.Observe(uint64(len(e.runq)))
-		p.resume <- struct{}{}
-		m := <-e.yield
-		switch m.kind {
-		case yieldRunnable:
-			e.push(m.p)
-		case yieldBlocked:
+		switch kind, live := p.next(); {
+		case !live:
+			remaining--
+			if p.clock > finish {
+				finish = p.clock
+			}
+		case kind == yieldBlocked:
 			e.blocks++
 			// Parked; an Unblock will re-queue it.
-		case yieldDone:
-			remaining--
-			if m.p.clock > finish {
-				finish = m.p.clock
-			}
+		default:
+			e.push(p)
 		}
 	}
 	return finish
 }
 
-// drainDeadlocked unwinds every parked processor goroutine before the
-// deadlock panic propagates, so repeated Run calls (tests recovering the
-// panic) don't accumulate goroutines. Each parked processor is resumed in
-// turn; Block (and any Sync/Block reached while its body's defers unwind)
-// sees aborting and panics abortRun, which the goroutine wrapper recovers,
-// signalling drained on its way out. Processors re-queued by deferred
-// releases during the unwind are drained from the run queue afterwards.
-func (e *Engine) drainDeadlocked() {
+// start resets every processor and makes body its coroutine.
+func (e *Engine) start(body func(p *Proc)) {
+	e.aborting = false
+	for _, p := range e.procs {
+		p.clock = 0
+		p.blocked = false
+		p.pscope = scopeGlobal // a body's first operation has unknown scope
+		p.probe = nil
+		p.dispatchAt = 0
+		p.start(body)
+	}
+}
+
+// contain is deferred by Run. When the run panics — a deadlock, or a body
+// panic surfacing from its coroutine's next — it stops every unfinished
+// coroutine before the panic continues to Run's caller, so no body is left
+// suspended and repeated recovered Runs do not accumulate goroutines.
+// Stopping a suspended body makes its pending trap panic abortRun, which
+// runs the body's defers; aborting keeps any Sync, Block or Unblock those
+// defers reach from trapping or re-panicking.
+func (e *Engine) contain() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	e.phase = phaseSerial
 	e.aborting = true
 	for _, p := range e.procs {
-		if !p.done && p.blocked {
-			p.blocked = false
-			p.resume <- struct{}{}
-			<-e.drained
+		if !p.done {
+			p.unwind()
+			p.done = true
 			e.mDrains.Inc()
 		}
 	}
-	for {
-		p, ok := e.popAnyRunq()
-		if !ok {
-			break
-		}
-		if p.done {
-			continue
-		}
-		p.resume <- struct{}{}
-		<-e.drained
-		e.mDrains.Inc()
-	}
 	e.aborting = false
+	panic(r)
 }
 
-// popAnyRunq pops from the engine's run queue, or from any shard's in
-// sharded mode (drain path only; order is irrelevant while aborting).
-func (e *Engine) popAnyRunq() (*Proc, bool) {
-	if e.shards != nil {
-		return e.drainShardedRunq()
-	}
-	return e.runq.pop()
+// unwind stops p's coroutine. A second panic raised by the body's defers
+// while it unwinds is dropped: the run is already failing with the first.
+func (p *Proc) unwind() {
+	defer func() { _ = recover() }()
+	p.stop()
 }
 
 // Switches returns the number of scheduling events (processor

@@ -401,6 +401,73 @@ func TestEngineReusableAfterDeadlock(t *testing.T) {
 	}
 }
 
+// panickyBody is a four-processor body whose P1 panics with "boom" while
+// P0 is parked and P2/P3 are suspended in a slow-path Sync. Every body
+// records that its defers ran; P3's defer releases P1, which is no longer
+// blocked — during teardown that must not re-panic.
+func panickyBody(e *Engine, unwound *[4]bool) func(p *Proc) {
+	return func(p *Proc) {
+		defer func() {
+			unwound[p.ID()] = true
+			if p.ID() == 3 {
+				e.Proc(1).Unblock(p.Clock())
+			}
+		}()
+		switch p.ID() {
+		case 0:
+			p.Block("forever")
+		case 1:
+			p.Advance(10)
+			p.Sync()
+			panic("boom")
+		default:
+			p.Advance(Time(100 * p.ID()))
+			p.Sync()
+			p.Advance(1)
+			p.Sync()
+		}
+	}
+}
+
+// runRecovered runs body on e and returns what Run panicked with.
+func runRecovered(e *Engine, body func(p *Proc)) (r any) {
+	defer func() { r = recover() }()
+	e.Run(body)
+	return nil
+}
+
+// checkBodyPanicContained is the body-panic contract shared by the serial
+// and sharded engines: the original panic value reaches Run's caller, the
+// other bodies' defers run, repeated panicking runs leave no goroutine
+// behind, and the engine is reusable afterwards.
+func checkBodyPanicContained(t *testing.T, e *Engine) {
+	t.Helper()
+	var unwound [4]bool
+	if r := runRecovered(e, panickyBody(e, &unwound)); r != "boom" {
+		t.Fatalf("Run panicked with %v, want the body's own \"boom\"", r)
+	}
+	for i, u := range unwound {
+		if !u {
+			t.Errorf("P%d's defers did not run", i)
+		}
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		runRecovered(e, panickyBody(e, &unwound))
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew from %d to %d across 50 panicking Runs", before, after)
+	}
+	if finish := e.Run(func(p *Proc) { p.Advance(7); p.Sync() }); finish != 7 {
+		t.Errorf("post-panic run finish = %d, want 7", finish)
+	}
+}
+
+// TestBodyPanicContained pins the body-panic contract on the serial engine.
+func TestBodyPanicContained(t *testing.T) {
+	checkBodyPanicContained(t, NewEngine(4))
+}
+
 // TestStateDumpHasFastPath: the deadlock dump carries the scheduler
 // counters, including fast-path hits.
 func TestStateDumpHasFastPath(t *testing.T) {
@@ -415,19 +482,35 @@ func TestStateDumpHasFastPath(t *testing.T) {
 }
 
 func BenchmarkSyncRoundtrip(b *testing.B) {
-	e := NewEngine(2)
+	benchmarkRoundRobin(b, 2)
+}
+
+// BenchmarkSyncRoundtrip64 is BenchmarkSyncRoundtrip among 64 processors:
+// every Sync hands off to the next processor in round-robin order, the
+// handoff a 64-processor machine run pays on nearly every trap.
+func BenchmarkSyncRoundtrip64(b *testing.B) {
+	benchmarkRoundRobin(b, 64)
+}
+
+// benchmarkRoundRobin runs b.N slow-path Syncs spread over n processors
+// advancing in lockstep, so each Sync switches to another processor.
+func benchmarkRoundRobin(b *testing.B, n int) {
+	e := NewEngine(n)
 	b.ResetTimer()
 	e.Run(func(p *Proc) {
-		for i := 0; i < b.N/2+1; i++ {
+		for i := 0; i < b.N/n+1; i++ {
 			p.Advance(1)
 			p.Sync()
 		}
 	})
+	if b.N > n && e.Switches() < uint64(b.N) {
+		b.Fatalf("switches = %d for %d ops: the Syncs took the fast path", e.Switches(), b.N)
+	}
 }
 
 // BenchmarkEngineHotLoop measures the per-Sync cost on the kernel's fast
 // path: a processor that stays behind the rest of the machine performs its
-// globally visible operations without any channel handoff. Contrast with
+// globally visible operations without any coroutine handoff. Contrast with
 // BenchmarkSyncRoundtrip, the slow-path (ping-pong) worst case.
 func BenchmarkEngineHotLoop(b *testing.B) {
 	e := NewEngine(4)
