@@ -263,7 +263,14 @@ func (pa Params) Home(addr Addr, lineSize int) int {
 // TransferCycles returns the per-link occupancy of a message of the given
 // size in bytes, rounded up to a whole cycle.
 func (pa Params) TransferCycles(bytes int) Time {
-	c := pa.LinkCyclesPerByte * float64(bytes)
+	return LinkTransferCycles(pa.LinkCyclesPerByte, bytes)
+}
+
+// LinkTransferCycles returns the occupancy of a message of the given size
+// in bytes on a link costing cyclesPerByte, rounded up to a whole cycle and
+// at least one.
+func LinkTransferCycles(cyclesPerByte float64, bytes int) Time {
+	c := cyclesPerByte * float64(bytes)
 	t := Time(c)
 	if float64(t) < c {
 		t++

@@ -1,30 +1,45 @@
 package mesh
 
 import (
+	"fmt"
 	"testing"
 
 	"zsim/internal/memsys"
 )
 
-// Send is called for every protocol message; routing hop-by-hop via NextHop
-// must never materialize a path slice or otherwise allocate.
+// Send is called for every protocol message; once its route buffer has
+// grown to the longest route, it must never allocate.
 func TestSendZeroAlloc(t *testing.T) {
-	for _, topo := range []string{"mesh", "torus", "hypercube", "xbar", "bus"} {
-		t.Run(topo, func(t *testing.T) {
-			p := memsys.Default(16)
-			p.Topology = topo
+	cases := []struct {
+		topo  string
+		procs int
+	}{
+		{"mesh", 16}, {"torus", 16}, {"hypercube", 16}, {"xbar", 16}, {"bus", 16},
+		{"hier", 64},   // 2×2 clusters: routes cross gateways
+		{"mesh", 1024}, // 32×32: the 62-hop corner-to-corner route
+	}
+	for _, c := range cases {
+		name := c.topo
+		if c.procs != 16 {
+			name = fmt.Sprintf("%s-%d", c.topo, c.procs)
+		}
+		t.Run(name, func(t *testing.T) {
+			p := memsys.Default(c.procs)
+			p.Topology = c.topo
 			n := New(p)
+			last := c.procs - 1
 			var at Time
-			// Warm up: no state in Send lazily allocates, but keep the pin
-			// honest by exercising every link first.
-			for s := 0; s < 16; s++ {
-				for d := 0; d < 16; d++ {
+			// Warm up over a grid of pairs; AllocsPerRun's own warm-up call
+			// then grows the route buffer to the corner-to-corner routes.
+			step := c.procs / 16
+			for s := 0; s < c.procs; s += step {
+				for d := 0; d < c.procs; d += step {
 					at = n.Send(s, d, 32, at)
 				}
 			}
 			if a := testing.AllocsPerRun(200, func() {
-				at = n.Send(0, 15, 32, at)
-				at = n.Send(15, 0, 8, at)
+				at = n.Send(0, last, 32, at)
+				at = n.Send(last, 0, 8, at)
 				at = n.Send(3, 3, 8, at) // local delivery
 			}); a != 0 {
 				t.Fatalf("Send allocates %v times per run", a)

@@ -25,13 +25,18 @@ type Time = memsys.Time
 //
 //zlint:confine global link occupancy couples all nodes by construction — any processor's message reserves an arbitrary src→dst link; serialized by the trap token (the sharded kernel bounds it with conservative lookahead)
 type Net struct {
-	p    memsys.Params
 	topo Topology
 
-	// busy[from*n+to] is the time at which link from→to becomes free; for
-	// a shared-medium topology (bus) busBusy serializes every transfer.
-	busy    []Time
-	busBusy Time
+	// The link cost, copied out of memsys.Params so that Send does not copy
+	// a whole Params per message.
+	hopLatency    Time
+	cyclesPerByte float64
+
+	// busy[l] is the time at which link l (a Topology link id) becomes
+	// free. route holds the link ids of the message Send is routing; it is
+	// reused across messages under the same serialization as busy.
+	busy  []Time
+	route []int32
 
 	// Stats.
 	msgs     uint64
@@ -73,8 +78,12 @@ func New(p memsys.Params) *Net {
 	if err != nil {
 		panic(err)
 	}
-	n := topo.Nodes()
-	return &Net{p: p, topo: topo, busy: make([]Time, n*n)}
+	return &Net{
+		topo:          topo,
+		hopLatency:    p.HopLatency,
+		cyclesPerByte: p.LinkCyclesPerByte,
+		busy:          make([]Time, topo.Links()),
+	}
 }
 
 // Topology returns the routing topology in use.
@@ -84,8 +93,8 @@ func (n *Net) Topology() Topology { return n.topo }
 func (n *Net) Hops(src, dst int) int { return n.topo.Hops(src, dst) }
 
 // Path returns the sequence of nodes visited from src to dst, inclusive of
-// both endpoints. It allocates; the transfer hot path (Send) routes via
-// NextHop instead.
+// both endpoints. It allocates; the transfer hot path (Send) uses
+// Topology.Route instead.
 func (n *Net) Path(src, dst int) []int { return Path(n.topo, src, dst) }
 
 // Send injects a message of the given size from src to dst at time start and
@@ -97,40 +106,24 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 	}
 	n.msgs++
 	n.bytes += uint64(bytes)
+	n.route = n.topo.Route(n.route[:0], src, dst)
 	if n.mHops != nil && metrics.Enabled() {
-		n.mHops.Observe(uint64(n.topo.Hops(src, dst)))
+		n.mHops.Observe(uint64(len(n.route)))
 	}
-	transfer := n.p.TransferCycles(bytes)
+	transfer := memsys.LinkTransferCycles(n.cyclesPerByte, bytes)
+	var queued Time
 	t := start
-	if n.topo.Shared() {
-		// Bus: one hop, all transfers serialize on the medium.
-		begin := t + n.p.HopLatency
-		if n.busBusy > begin {
-			n.queueing += n.busBusy - begin
-			begin = n.busBusy
-		}
-		depart := begin + transfer
-		n.busBusy = depart
-		n.occupied += transfer
-		return depart
-	}
-	// Step hop by hop via NextHop: no path slice is ever materialized.
-	nodes := n.topo.Nodes()
-	for cur := src; cur != dst; {
-		next := n.topo.NextHop(cur, dst)
-		arrive := t + n.p.HopLatency
-		idx := cur*nodes + next
-		begin := arrive
-		if b := n.busy[idx]; b > begin {
-			n.queueing += b - begin
+	for _, l := range n.route {
+		begin := t + n.hopLatency
+		if b := n.busy[l]; b > begin {
+			queued += b - begin
 			begin = b
 		}
-		depart := begin + transfer
-		n.busy[idx] = depart
-		n.occupied += transfer
-		t = depart
-		cur = next
+		t = begin + transfer
+		n.busy[l] = t
 	}
+	n.queueing += queued
+	n.occupied += transfer * Time(len(n.route))
 	return t
 }
 
@@ -141,8 +134,8 @@ func (n *Net) UncontendedLatency(src, dst, bytes int) Time {
 	if src == dst {
 		return 0
 	}
-	transfer := n.p.TransferCycles(bytes)
-	return Time(n.Hops(src, dst)) * (n.p.HopLatency + transfer)
+	transfer := memsys.LinkTransferCycles(n.cyclesPerByte, bytes)
+	return Time(n.Hops(src, dst)) * (n.hopLatency + transfer)
 }
 
 // MinCrossShardLatency returns the smallest uncontended latency of a

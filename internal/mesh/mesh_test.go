@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -183,10 +185,28 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// BenchmarkSend times one control message between random distinct nodes on
+// the 4×4 mesh, the 8×8 mesh (the shape of zbench's coherence workload) and
+// the 32×32 mesh (its manycore workload's).
 func BenchmarkSend(b *testing.B) {
-	n := testNet(16)
-	for i := 0; i < b.N; i++ {
-		n.Send(i%16, (i*7)%16, 40, Time(i))
+	for _, procs := range []int{16, 64, 1024} {
+		p := memsys.Default(procs)
+		b.Run(fmt.Sprintf("%dx%d", p.MeshW, p.MeshH), func(b *testing.B) {
+			n := New(p)
+			rng := rand.New(rand.NewSource(1))
+			src, dst := make([]int, 1024), make([]int, 1024)
+			for i := range src {
+				src[i] = rng.Intn(procs)
+				dst[i] = (src[i] + 1 + rng.Intn(procs-1)) % procs
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var t Time
+			for i := 0; i < b.N; i++ {
+				j := i % len(src)
+				t = n.Send(src[j], dst[j], p.CtrlBytes, t)
+			}
+		})
 	}
 }
 

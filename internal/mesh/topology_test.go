@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -267,6 +268,73 @@ func TestWideMeshHops(t *testing.T) {
 			for d := 0; d < n; d += 41 {
 				if got, want := walkLen(t, topo, s, d), topo.Hops(s, d); got != want {
 					t.Fatalf("%dx%d: walk %d->%d took %d, Hops says %d", w, h, s, d, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRouteMatchesNextHop pins Route to the NextHop specification. For
+// every pair the route has Hops links, every id lies in [0, Links()), and
+// the map from each NextHop step (cur, next) to the Route id at the same
+// position is a bijection across all pairs: two messages share a link slot
+// exactly when their NextHop walks share a link, so contention is the same
+// as stepping hop by hop. On the bus every step crosses the one shared
+// medium. Every topology is covered exhaustively at 16 and 64 nodes (and
+// the torus where a dimension has size 2, the only shape on which its tie
+// rule chooses between two links to the same neighbour); the many-core
+// shapes on a strided sample of pairs.
+func TestRouteMatchesNextHop(t *testing.T) {
+	type shape struct {
+		topo   string
+		w, h   int
+		stride int
+	}
+	var shapes []shape
+	for _, name := range allTopos() {
+		shapes = append(shapes, shape{name, 4, 4, 1}, shape{name, 8, 8, 1})
+	}
+	shapes = append(shapes, shape{"torus", 4, 2, 1}, shape{"torus", 2, 1, 1},
+		shape{"mesh", 16, 16, 7}, shape{"mesh", 32, 32, 29}, shape{"hier", 16, 16, 7})
+	for _, sh := range shapes {
+		topo, err := NewTopology(sh.topo, sh.w, sh.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name, n := fmt.Sprintf("%s %dx%d", sh.topo, sh.w, sh.h), topo.Nodes()
+		slotOf := map[[2]int]int32{} // NextHop step → link id
+		stepOf := map[int32][2]int{} // link id → NextHop step
+		var route []int32
+		for s := 0; s < n; s += sh.stride {
+			for d := n - 1; d >= 0; d -= sh.stride {
+				route = topo.Route(route[:0], s, d)
+				if len(route) != topo.Hops(s, d) {
+					t.Fatalf("%s: Route(%d,%d) has %d links, Hops says %d", name, s, d, len(route), topo.Hops(s, d))
+				}
+				i := 0
+				for cur := s; cur != d; i++ {
+					if i == len(route) {
+						t.Fatalf("%s: Route(%d,%d) %v ends before the NextHop walk", name, s, d, route)
+					}
+					next, id := topo.NextHop(cur, d), route[i]
+					if id < 0 || int(id) >= topo.Links() {
+						t.Fatalf("%s: Route(%d,%d) link %d outside [0,%d)", name, s, d, id, topo.Links())
+					}
+					step := [2]int{cur, next}
+					if sh.topo == "bus" {
+						step = [2]int{} // the one shared medium
+					}
+					if prev, ok := slotOf[step]; ok && prev != id {
+						t.Fatalf("%s: step %v is link %d on one route and %d on another", name, step, prev, id)
+					}
+					if prev, ok := stepOf[id]; ok && prev != step {
+						t.Fatalf("%s: link %d carries steps %v and %v", name, id, prev, step)
+					}
+					slotOf[step], stepOf[id] = id, step
+					cur = next
+				}
+				if i != len(route) {
+					t.Fatalf("%s: Route(%d,%d) %v runs past the NextHop walk", name, s, d, route)
 				}
 			}
 		}
