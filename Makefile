@@ -12,17 +12,11 @@ vet:
 	$(GO) vet ./...
 
 # The project-native static-analysis suite (cmd/zlint): maprange, walltime,
-# globalmut, atomicmix, errdrop, confine. See DESIGN.md "Determinism rules"
-# and "State confinement". Any unsuppressed finding exits nonzero; suppress
-# with `//zlint:ignore <analyzer> <reason>` (the reason is mandatory).
-# The second step regenerates the whole-program confinement report and
-# diffs it against the committed CONFINEMENT.md: widening any protocol
-# field's sharing (or deleting a //zlint:confine annotation) fails lint
-# until the report is consciously re-blessed with
-# `go run ./cmd/zlint -confine-report ./... > CONFINEMENT.md`.
+# globalmut, atomicmix, errdrop. See DESIGN.md "Determinism rules". Any
+# unsuppressed finding exits nonzero; suppress with
+# `//zlint:ignore <analyzer> <reason>` (the reason is mandatory).
 lint:
 	$(GO) run ./cmd/zlint ./...
-	$(GO) run ./cmd/zlint -confine-report ./... | diff -u CONFINEMENT.md -
 
 test:
 	$(GO) test ./...

@@ -136,12 +136,6 @@ func Benchmarks() []string { return workload.AppNames() }
 // DefaultParams returns the paper's machine configuration for p processors
 // (32-byte lines, 4-byte z-machine lines, 1.6 cycles/byte mesh links,
 // 4-entry store buffers, 1-line merge buffers, infinite caches).
-//
-// Set Params.KernelShards to run the simulation kernel sharded by home node
-// with a conservative mesh-latency lookahead (intra-run parallelism); 0,
-// the default, runs the serial engine. Simulated results — Results, traces,
-// litmus outcomes, and every simulated metric — are bit-identical at any
-// shard count; only host wall time changes. See DESIGN.md §13.
 func DefaultParams(p int) Params { return memsys.Default(p) }
 
 // NewMachine builds a simulated multiprocessor with the given memory

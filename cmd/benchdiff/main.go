@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -24,32 +25,29 @@ const usage = `usage: benchdiff OLD.json NEW.json [flags]
 Compares two BENCH_*.json records and exits 1 on regression.
 
   -tolerance T         allowed slowdown for timings/throughput (default 25%)
-  -metric-tolerance T  allowed drift for watched simulated metrics (default: -tolerance)
+  -metric-tolerance T  allowed drift for watched simulated metrics, taken
+                       literally (0% = exact; default: -tolerance, or 0%
+                       with -metrics-only)
   -min-ms MS           per-experiment floor: entries with a baseline below
                        MS ms are informational only (default 10)
   -metrics-only        compare only the watched simulated metrics; timings and
                        throughput are informational, and metric drift in either
                        direction past -metric-tolerance fails (the identity gate
-                       for runs that legitimately differ in wall time, e.g.
-                       serial vs -kernel-shards)
-  -scope               takes ONE record instead of two and prints its
-                       machine.scope.* local/global dispatch table (the
-                       sharded CI job's local-dispatch-fraction artifact);
-                       exits 1 if the record has no scope counters
+                       for runs that legitimately differ in wall time)
 
 T accepts "25%" or a fraction like "0.25".
 `
 
 // cliArgs is the parsed command line. The standard flag package stops at
 // the first positional argument, but the documented invocation puts the two
-// files first, so arguments are scanned by hand.
+// files first, so arguments are scanned by hand. metricTolerance is always
+// resolved: parseArgs fills in its default.
 type cliArgs struct {
 	oldPath, newPath string
 	tolerance        float64
 	metricTolerance  float64
 	minMS            float64
 	metricsOnly      bool
-	scope            bool
 }
 
 func parseArgs(argv []string) (*cliArgs, error) {
@@ -87,8 +85,6 @@ func parseArgs(argv []string) (*cliArgs, error) {
 			a.metricTolerance = t
 		case "-metrics-only", "--metrics-only":
 			a.metricsOnly = true
-		case "-scope", "--scope":
-			a.scope = true
 		case "-min-ms", "--min-ms":
 			v, err := flagVal()
 			if err != nil {
@@ -108,69 +104,62 @@ func parseArgs(argv []string) (*cliArgs, error) {
 			files = append(files, arg)
 		}
 	}
-	if a.scope {
-		if len(files) != 1 {
-			return nil, fmt.Errorf("-scope needs exactly one record file, got %d", len(files))
-		}
-		a.oldPath = files[0]
-		return a, nil
-	}
 	if len(files) != 2 {
 		return nil, fmt.Errorf("need exactly two record files, got %d", len(files))
 	}
 	a.oldPath, a.newPath = files[0], files[1]
+	if a.metricTolerance < 0 {
+		a.metricTolerance = a.tolerance
+		if a.metricsOnly {
+			a.metricTolerance = 0
+		}
+	}
 	return a, nil
 }
 
 var errHelp = fmt.Errorf("help requested")
 
-func main() {
-	a, err := parseArgs(os.Args[1:])
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it compares the two records named in argv,
+// writes the report to stdout, and returns the exit status (0 clean,
+// 1 regression, 2 usage or load error).
+func run(argv []string, stdout, stderr io.Writer) int {
+	a, err := parseArgs(argv)
 	if err != nil {
 		if err == errHelp {
-			fmt.Print(usage)
-			return
+			fmt.Fprint(stdout, usage)
+			return 0
 		}
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n%s", err, usage)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchdiff: %v\n%s", err, usage)
+		return 2
 	}
-
 	old, err := benchrec.Load(a.oldPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-	if a.scope {
-		report := benchrec.ScopeReport(old)
-		if report == "" {
-			fmt.Fprintf(os.Stderr, "benchdiff: %s carries no machine.scope.* counters (serial record, or metrics not captured)\n", a.oldPath)
-			os.Exit(1)
-		}
-		fmt.Print(report)
-		return
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
 	}
 	cur, err := benchrec.Load(a.newPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
 	}
 
 	opts := benchrec.Options{
-		Tolerance:   a.tolerance,
-		MinWallMS:   a.minMS,
-		MetricsOnly: a.metricsOnly,
-	}
-	if a.metricTolerance >= 0 {
-		opts.MetricTolerance = a.metricTolerance
+		Tolerance:       a.tolerance,
+		MetricTolerance: a.metricTolerance,
+		MinWallMS:       a.minMS,
+		MetricsOnly:     a.metricsOnly,
 	}
 	deltas, regressed := benchrec.Diff(old, cur, opts)
 
-	fmt.Printf("benchdiff %s -> %s (tolerance %.0f%%, min %gms)\n\n",
-		a.oldPath, a.newPath, a.tolerance*100, a.minMS)
-	fmt.Print(benchrec.Format(deltas, opts))
+	fmt.Fprintf(stdout, "benchdiff %s -> %s (tolerance %.0f%%, metric tolerance %.4g%%, min %gms)\n\n",
+		a.oldPath, a.newPath, a.tolerance*100, a.metricTolerance*100, a.minMS)
+	fmt.Fprint(stdout, benchrec.Format(deltas, opts))
 	if regressed {
-		fmt.Println("\nREGRESSION: at least one quantity crossed tolerance (marked '!').")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "\nREGRESSION: at least one quantity crossed tolerance (marked '!').")
+		return 1
 	}
-	fmt.Println("\nOK: no regression past tolerance.")
+	fmt.Fprintln(stdout, "\nOK: no regression past tolerance.")
+	return 0
 }

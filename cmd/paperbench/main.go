@@ -47,7 +47,6 @@ func main() {
 		matrix   = flag.Bool("matrix", false, "print the overhead%% matrix: every app on every system")
 		conf     = flag.Bool("conformance", false, "run every app on every system with the conformance checker")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "max simulations run concurrently (1 = serial; output is identical at any setting)")
-		shards   = flag.Int("kernel-shards", 0, "shard the simulation kernel by home node with conservative lookahead (0 = serial; results are identical at any setting)")
 		benchOut = flag.String("bench-json", "", "with the full regeneration: write a machine-readable timing/throughput record (BENCH_*.json) to this path")
 		withMet  = flag.Bool("metrics", false, "collect and print the global metrics snapshot (implied by -bench-json)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -74,10 +73,6 @@ func main() {
 	zsim.SetParallelism(*parallel)
 	sc := zsim.Scale(*scale)
 	params := zsim.DefaultParams(*procs)
-	if *shards > 0 {
-		params.KernelShards = *shards
-		check(params.Validate())
-	}
 	emitTable := func(t *zsim.Table) {
 		switch {
 		case *csv:
@@ -144,12 +139,11 @@ func main() {
 		emitArtifact(e.ID, art)
 		if *benchOut != "" {
 			rec := benchrec.Record{
-				Scale:        *scale,
-				Procs:        *procs,
-				Parallel:     *parallel,
-				KernelShards: *shards,
-				GOMAXPROCS:   runtime.GOMAXPROCS(0),
-				NumCPU:       runtime.NumCPU(),
+				Scale:      *scale,
+				Procs:      *procs,
+				Parallel:   *parallel,
+				GOMAXPROCS: runtime.GOMAXPROCS(0),
+				NumCPU:     runtime.NumCPU(),
 				Experiments: []benchrec.Entry{
 					{ID: e.ID, Title: e.Title, WallMS: msSince(expStart)},
 				},
@@ -179,12 +173,11 @@ func main() {
 		// machine-checked claim verdicts. With -bench-json, each phase is
 		// timed and the throughput record written for the perf trajectory.
 		rec := benchrec.Record{
-			Scale:        *scale,
-			Procs:        *procs,
-			Parallel:     *parallel,
-			KernelShards: *shards,
-			GOMAXPROCS:   runtime.GOMAXPROCS(0),
-			NumCPU:       runtime.NumCPU(),
+			Scale:      *scale,
+			Procs:      *procs,
+			Parallel:   *parallel,
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			NumCPU:     runtime.NumCPU(),
 		}
 		start := time.Now()
 		for _, e := range zsim.Experiments() {

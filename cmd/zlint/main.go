@@ -5,7 +5,6 @@
 //	zlint ./internal/sim           lint one package
 //	zlint -list                    describe the analyzers and exit
 //	zlint -json ./...              findings as a JSON array
-//	zlint -confine-report ./...    print the confinement report (CONFINEMENT.md)
 //
 // Findings are printed one per line as "file:line: analyzer: message" and
 // the exit status is nonzero when any unsuppressed finding remains. A
@@ -41,9 +40,8 @@ type jsonFinding struct {
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array (stable field order, one object per finding)")
-	confineReport := flag.Bool("confine-report", false, "print the whole-program confinement report instead of findings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: zlint [-list] [-json] [-confine-report] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: zlint [-list] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -76,15 +74,6 @@ func main() {
 	pkgs, err := lint.NewLoader().Load(root, patterns)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *confineReport {
-		res := lint.ConfineRun(pkgs, lint.DefaultConfineConfig())
-		if !res.Ran {
-			fatal(fmt.Errorf("confine-report needs the whole program loaded; run with ./..."))
-		}
-		fmt.Print(res.Report.Render())
-		return
 	}
 
 	findings := lint.Run(pkgs)

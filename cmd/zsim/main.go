@@ -40,7 +40,6 @@ func main() {
 		litmus   = flag.Bool("litmus", false, "run the litmus suite on every memory system and exit")
 		chkFlag  = flag.Bool("check", false, "attach the memory-consistency conformance checker")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "max simulations run concurrently for -all and -litmus (1 = serial; output is identical at any setting)")
-		shards   = flag.Int("kernel-shards", 0, "shard the simulation kernel by home node with conservative lookahead (0 = serial; results are identical at any setting)")
 		withMet  = flag.Bool("metrics", false, "collect per-run metrics and print the snapshot after the run")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (post-GC snapshot) to this file on exit")
@@ -74,9 +73,6 @@ func main() {
 	} else {
 		params = zsim.DefaultMTParams(*procs, *threads)
 		params.Topology = *topo
-	}
-	if *shards > 0 {
-		params.KernelShards = *shards
 	}
 	if err := params.Validate(); err != nil {
 		fatal(err)

@@ -24,7 +24,6 @@ type Record struct {
 	Scale             string            `json:"scale"`
 	Procs             int               `json:"procs"`
 	Parallel          int               `json:"parallel"`
-	KernelShards      int               `json:"kernel_shards,omitempty"`
 	GOMAXPROCS        int               `json:"gomaxprocs"`
 	NumCPU            int               `json:"num_cpu"`
 	Experiments       []Entry           `json:"experiments"`
@@ -118,7 +117,7 @@ type watchedMetric struct {
 }
 
 var watchedMetrics = []watchedMetric{
-	{"sim.yields", +1},                 // total scheduling points (switches + fast-path hits); trap count, mode-invariant
+	{"sim.yields", +1},                 // total scheduling points (switches + fast-path hits): the trap count
 	{"proto.read_misses", +1},          // coherence efficiency
 	{"proto.write_misses", +1},         //
 	{"proto.invalidations", +1},        //
@@ -127,18 +126,8 @@ var watchedMetrics = []watchedMetric{
 	{"mesh.queue_cycles", +1},          // interconnect contention
 	{"wbuffer.full_stall_cycles", +1},  // write-stall pressure
 	{"wbuffer.flush_stall_cycles", +1}, // buffer-flush pressure
-}
-
-// sameModeMetrics are gated only between records of the same kernel shard
-// count. The switch/fast-path split legitimately shifts when the sharded
-// kernel dispatches traps inside streams and local windows (their sum,
-// sim.yields, is watched unconditionally above), and the scope
-// classification counters exist only on sharded records.
-var sameModeMetrics = []watchedMetric{
-	{"sim.switches", +1},                    // fast-path degradation: more coroutine handoffs
-	{"sim.fastpath_hits", -1},               // fast-path degradation: fewer inline returns
-	{"machine.scope.local_dispatches", -1},  // scope-classification coverage: fewer shard-local traps
-	{"machine.scope.global_dispatches", +1}, // scope-classification coverage: more serialized traps
+	{"sim.switches", +1},               // fast-path degradation: more coroutine handoffs
+	{"sim.fastpath_hits", -1},          // fast-path degradation: fewer inline returns
 }
 
 // Delta is one compared quantity.
@@ -156,7 +145,7 @@ type Options struct {
 	// throughput (0.25 = 25%).
 	Tolerance float64
 	// MetricTolerance is the allowed fractional drift for watched
-	// simulated metrics; 0 selects Tolerance.
+	// simulated metrics, taken literally: 0 means exact.
 	MetricTolerance float64
 	// MinWallMS is the per-experiment floor: entries whose old wall time is
 	// below it are reported but never fail the gate (sub-floor timings are
@@ -166,8 +155,9 @@ type Options struct {
 	// throughput are reported informationally but never regress, and metric
 	// drift in EITHER direction past MetricTolerance is a regression. This
 	// is the identity gate between two records of the same simulation that
-	// legitimately differ in wall time — e.g. the serial vs sharded kernel,
-	// whose simulated metrics must not drift at all (tolerance 0).
+	// legitimately differ in wall time — e.g. a refactor checked against the
+	// blessed baseline, whose simulated metrics must not drift at all
+	// (tolerance 0).
 	MetricsOnly bool
 }
 
@@ -178,13 +168,7 @@ type Options struct {
 // bad direction. Experiments present in only one record are noted but are
 // not regressions (the experiment index legitimately grows across PRs).
 func Diff(old, new *Record, opts Options) (deltas []Delta, regressed bool) {
-	tol := opts.Tolerance
-	mtol := opts.MetricTolerance
-	if mtol == 0 && !opts.MetricsOnly {
-		// Metrics-only gates take MetricTolerance literally (0 = exact);
-		// otherwise 0 means "same as the timing tolerance".
-		mtol = tol
-	}
+	tol, mtol := opts.Tolerance, opts.MetricTolerance
 
 	timing := func(name string, o, n, floor float64) {
 		d := Delta{Name: name, Old: o, New: n, Pct: pctDelta(o, n)}
@@ -239,11 +223,7 @@ func Diff(old, new *Record, opts Options) (deltas []Delta, regressed bool) {
 	}
 
 	if old.Metrics != nil && new.Metrics != nil {
-		watched := watchedMetrics
-		if old.KernelShards == new.KernelShards {
-			watched = append(append([]watchedMetric(nil), watchedMetrics...), sameModeMetrics...)
-		}
-		for _, w := range watched {
+		for _, w := range watchedMetrics {
 			o := float64(old.Metrics.Counter(w.name))
 			n := float64(new.Metrics.Counter(w.name))
 			if o == 0 && n == 0 {
@@ -351,42 +331,6 @@ func Format(deltas []Delta, opts Options) string {
 		fmt.Fprintf(&b, "%s %-32s %12s %12s %8.1f%%%s\n",
 			mark, d.Name, num(d.Old), num(d.New), d.Pct, note)
 	}
-	return b.String()
-}
-
-// scopeTraps are the machine trap kinds the scope-classification metrics
-// break down by (machine.scope.<trap>_local / _global).
-var scopeTraps = []string{"load", "store", "swap", "compute"}
-
-// ScopeReport renders a record's machine.scope.* counters — the per-trap
-// local/global dispatch split of DESIGN §15 plus the total local-dispatch
-// fraction — as the table CI publishes as the sharded job's
-// local-dispatch-fraction artifact. It returns "" when the record carries
-// no scope counters (serial records never publish them).
-func ScopeReport(r *Record) string {
-	if r.Metrics == nil {
-		return ""
-	}
-	c := r.Metrics.Counters
-	local := c["machine.scope.local_dispatches"]
-	global := c["machine.scope.global_dispatches"]
-	if local+global == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "machine-trap scope classification (kernel_shards=%d)\n", r.KernelShards)
-	fmt.Fprintf(&b, "%-10s %12s %12s %8s\n", "trap", "local", "global", "local%")
-	row := func(name string, l, g uint64) {
-		pct := "-"
-		if l+g > 0 {
-			pct = fmt.Sprintf("%.1f%%", 100*float64(l)/float64(l+g))
-		}
-		fmt.Fprintf(&b, "%-10s %12d %12d %8s\n", name, l, g, pct)
-	}
-	for _, trap := range scopeTraps {
-		row(trap, c["machine.scope."+trap+"_local"], c["machine.scope."+trap+"_global"])
-	}
-	row("total", local, global)
 	return b.String()
 }
 

@@ -223,8 +223,9 @@ func TestFormatMarksRegressions(t *testing.T) {
 // TestDiffMetricsOnly pins the identity gate: with MetricsOnly, wall-time
 // and throughput deltas never regress (only the simulated metrics count),
 // and any metric drift — in either direction, including an improvement —
-// past MetricTolerance fails. This is the serial-vs-sharded kernel gate:
-// wall times legitimately differ, simulated metrics must not.
+// past MetricTolerance fails. This is the gate for a change that must not
+// move any simulated result: wall times legitimately differ, simulated
+// metrics must not.
 func TestDiffMetricsOnly(t *testing.T) {
 	opts := Options{MetricsOnly: true} // MetricTolerance 0 = exact identity
 
@@ -249,106 +250,20 @@ func TestDiffMetricsOnly(t *testing.T) {
 		t.Fatal("one-count metric drift passed the exact identity gate")
 	}
 
+	// A one-trap sim.yields drift fails on its own, with the switch and
+	// fast-path counts unchanged: the trap count is watched directly.
+	yields := sampleRecord()
+	sy := *yields.Metrics
+	sy.Counters = map[string]uint64{"sim.switches": 1000, "sim.fastpath_hits": 9000, "sim.yields": 10001, "mesh.msgs": 500}
+	yields.Metrics = &sy
+	if _, regressed := Diff(sampleRecord(), yields, opts); !regressed {
+		t.Fatal("sim.yields drift passed the exact identity gate")
+	}
+
 	// With a nonzero MetricTolerance, small drift passes, large fails.
 	loose := Options{MetricsOnly: true, MetricTolerance: 0.01}
 	if _, regressed := Diff(sampleRecord(), drift, loose); regressed {
 		t.Fatal("0.1% drift failed a 1% metrics-only gate")
-	}
-}
-
-// TestDiffCrossModeGatesYieldsNotSplit pins the serial-vs-sharded identity
-// gate after scope classification: between records of DIFFERENT kernel
-// shard counts the switch/fast-path split legitimately shifts (streams and
-// local windows dispatch traps inline), so only their mode-invariant sum
-// sim.yields is gated; between records of the SAME shard count the split
-// itself stays watched.
-func TestDiffCrossModeGatesYieldsNotSplit(t *testing.T) {
-	ident := Options{MetricsOnly: true}
-
-	// Same yields, shifted split, different shard counts: clean.
-	sharded := sampleRecord()
-	sharded.KernelShards = 4
-	s := *sharded.Metrics
-	s.Counters = map[string]uint64{
-		"sim.switches": 400, "sim.fastpath_hits": 9600, "sim.yields": 10000, "mesh.msgs": 500,
-	}
-	sharded.Metrics = &s
-	if deltas, regressed := Diff(sampleRecord(), sharded, ident); regressed {
-		t.Fatalf("shifted switch/fast-path split regressed a cross-mode identity diff:\n%s", Format(deltas, ident))
-	}
-
-	// The same shifted split between records of the SAME shard count fails.
-	same := sampleRecord()
-	same.Metrics = &s
-	if _, regressed := Diff(sampleRecord(), same, ident); !regressed {
-		t.Fatal("shifted split passed a same-mode identity diff")
-	}
-
-	// Yield drift fails even cross-mode: the trap count is mode-invariant.
-	drift := sampleRecord()
-	drift.KernelShards = 4
-	s2 := *drift.Metrics
-	s2.Counters = map[string]uint64{
-		"sim.switches": 400, "sim.fastpath_hits": 9601, "sim.yields": 10001, "mesh.msgs": 500,
-	}
-	drift.Metrics = &s2
-	if _, regressed := Diff(sampleRecord(), drift, ident); !regressed {
-		t.Fatal("sim.yields drift passed the cross-mode identity gate")
-	}
-
-	// The scope counters gate between sharded records of the same count: a
-	// drop in local dispatches (classification coverage lost) regresses.
-	oldSharded := sampleRecord()
-	oldSharded.KernelShards = 4
-	so := *oldSharded.Metrics
-	so.Counters = map[string]uint64{"sim.yields": 10000, "machine.scope.local_dispatches": 7000}
-	oldSharded.Metrics = &so
-	newSharded := sampleRecord()
-	newSharded.KernelShards = 4
-	sn := *newSharded.Metrics
-	sn.Counters = map[string]uint64{"sim.yields": 10000, "machine.scope.local_dispatches": 3000}
-	newSharded.Metrics = &sn
-	if _, regressed := Diff(oldSharded, newSharded, Options{Tolerance: 0.25}); !regressed {
-		t.Fatal("halved local-dispatch coverage not flagged between sharded records")
-	}
-}
-
-// TestScopeReport pins the local-dispatch-fraction artifact: per-trap rows,
-// a total row with the fraction CI publishes, and emptiness for records
-// without scope counters (serial runs never publish them).
-func TestScopeReport(t *testing.T) {
-	if got := ScopeReport(sampleRecord()); got != "" {
-		t.Fatalf("record without scope counters produced a report:\n%s", got)
-	}
-
-	r := sampleRecord()
-	r.KernelShards = 4
-	s := *r.Metrics
-	s.Counters = map[string]uint64{
-		"machine.scope.local_dispatches":  75,
-		"machine.scope.global_dispatches": 25,
-		"machine.scope.load_local":        70,
-		"machine.scope.load_global":       10,
-		"machine.scope.store_local":       0,
-		"machine.scope.store_global":      15,
-		"machine.scope.compute_local":     5,
-	}
-	r.Metrics = &s
-	got := ScopeReport(r)
-	for _, want := range []string{
-		"kernel_shards=4",
-		"load", "store", "swap", "compute",
-		"75.0%",  // total fraction
-		"87.5%",  // load row
-		"0.0%",   // store row
-		"100.0%", // compute row
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("report missing %q:\n%s", want, got)
-		}
-	}
-	if !strings.Contains(got, "-") {
-		t.Errorf("trap with no dispatches (swap) should render '-':\n%s", got)
 	}
 }
 
@@ -389,7 +304,7 @@ func TestDiffCurves(t *testing.T) {
 	if deltas, regressed := Diff(curveRecord(), better, opts); regressed {
 		t.Fatalf("curve-point improvement regressed:\n%s", Format(deltas, opts))
 	}
-	// ...but fails the exact identity gate (serial vs sharded must agree).
+	// ...but fails the exact identity gate.
 	ident := Options{MetricsOnly: true}
 	if _, regressed := Diff(curveRecord(), better, ident); !regressed {
 		t.Fatal("curve drift passed the exact identity gate")

@@ -35,23 +35,16 @@ func (s State) String() string {
 
 // Line is the per-line metadata tracked by the protocols.
 type Line struct {
-	//zlint:confine global remote invalidation and update fan-out rewrite the state of another processor's copy; serialized by the trap token (phase-3 worklist)
 	State State
 	// ReadyAt is when the line's most recent fill or ownership acquisition
 	// completes; a processor re-accessing a pending line waits for it.
-	//
-	//zlint:confine shard set only when the owning processor fills or upgrades its own line
 	ReadyAt memsys.Time
 	// Updates counts protocol updates received since the last local read
 	// (competitive protocol self-invalidation counter).
-	//
-	//zlint:confine global the producer's update fan-out increments the consumer's competitive counter
 	Updates int
 	// Version is the directory version of the contents this copy holds (see
 	// directory.Entry.Version). A copy whose version trails the directory's
 	// is stale.
-	//
-	//zlint:confine global the update fan-out stamps the consumer's copy with the new directory version
 	Version uint64
 }
 
@@ -86,16 +79,12 @@ func NewInfinite() Cache { return &infinite{} }
 
 // islot is one paged-table slot: the line metadata plus its presence bit.
 type islot struct {
-	//zlint:confine shard a slot is (re)initialized only by the owning processor's insert
-	l Line
-	//zlint:confine global remote invalidation clears the presence bit of another processor's copy
+	l     Line
 	valid bool
 }
 
 type infinite struct {
-	//zlint:confine shard the paged table is one processor's private cache; only its owner inserts
 	t memsys.Paged[islot]
-	//zlint:confine global the resident-line count is also decremented by remote invalidations
 	n int // resident (valid) lines
 }
 
@@ -147,29 +136,21 @@ func NewFinite(lines, assoc int) Cache {
 }
 
 type way struct {
-	//zlint:confine shard a way is (re)filled only by the owning processor's insert
 	line memsys.Addr
-	//zlint:confine shard a way is (re)filled only by the owning processor's insert
-	l Line
-	//zlint:confine shard recency stamps advance only on the owner's own accesses
-	lru uint64 // last-use stamp; larger is more recent
-	//zlint:confine global remote invalidation clears the presence bit of another processor's way
+	l    Line
+	lru  uint64 // last-use stamp; larger is more recent
 	used bool
 }
 
 type set struct {
-	//zlint:confine shard ways are appended only by the owning processor's insert
 	ways []way
 }
 
 type finite struct {
-	assoc int
-	sets  []set
-	//zlint:confine shard the LRU clock advances only on the owner's own accesses
-	tick uint64
-	//zlint:confine global the resident-line count is also decremented by remote invalidations
-	n int
-	//zlint:confine shard only the owning processor's inserts displace victims
+	assoc     int
+	sets      []set
+	tick      uint64
+	n         int
 	evictions uint64
 }
 

@@ -62,8 +62,6 @@ const BitsetWords = memsys.MaxProcs / 64
 // directory entry. A Bitset must not be copied once a high processor has
 // been added (the high words would be shared); the directory only ever
 // hands out pointers to entries in place.
-//
-//zlint:confine home presence bits live inside a home node's directory entry; every trap path reaches them through Entry(addr), indexed by the line's home
 type Bitset struct {
 	w0  uint64                   // processors 0..63
 	ext *[BitsetWords - 1]uint64 // processors 64..MaxProcs-1, nil until needed
@@ -146,8 +144,6 @@ func (b *Bitset) List() []int {
 }
 
 // Entry is a directory entry for one cache line.
-//
-//zlint:confine home an entry lives in homes[home(line)]; every trap path reaches it through Entry/Lookup, indexed by the accessed line's home node
 type Entry struct {
 	State   State
 	Sharers Bitset
@@ -174,8 +170,6 @@ func (e *Entry) String() string {
 
 // dslot is one paged-table slot of a home's directory: the entry plus a
 // valid bit distinguishing a touched line from the zero value.
-//
-//zlint:confine home slots live in a home's paged table; the valid bit is set on the home-indexed first touch
 type dslot struct {
 	e     Entry
 	valid bool
@@ -191,13 +185,8 @@ type Directory struct {
 	procs    int
 	lineSize int
 	homes    []memsys.Paged[dslot]
-	// allocs counts the entries ever created, per home (directory occupancy
-	// growth). The counter is split by home — like the entries themselves —
-	// so first-touch bookkeeping stays inside the home's partition instead
-	// of contending on one machine-wide cell; Allocs folds the slices.
-	//
-	//zlint:confine home first-touch bookkeeping increments allocs[home(line)], the same partition as the entry being created
-	allocs []uint64
+	// allocs counts the entries ever created (directory occupancy growth).
+	allocs uint64
 }
 
 // New creates directories for every node.
@@ -206,7 +195,6 @@ func New(procs, lineSize int) *Directory {
 		procs:    procs,
 		lineSize: lineSize,
 		homes:    make([]memsys.Paged[dslot], procs),
-		allocs:   make([]uint64, procs),
 	}
 }
 
@@ -223,7 +211,7 @@ func (d *Directory) Entry(addr memsys.Addr) *Entry {
 	s := d.homes[home].At(uint64(line) / uint64(d.procs))
 	if !s.valid {
 		s.valid = true
-		d.allocs[home]++
+		d.allocs++
 	}
 	return &s.e
 }
@@ -242,17 +230,11 @@ func (d *Directory) Lookup(addr memsys.Addr) (*Entry, bool) {
 // Allocs returns the number of entries ever created. Entries are never
 // deallocated, so this equals Entries(); it exists as a stable counter for
 // the metrics layer's directory-occupancy accounting.
-func (d *Directory) Allocs() uint64 {
-	var n uint64
-	for _, a := range d.allocs {
-		n += a
-	}
-	return n
-}
+func (d *Directory) Allocs() uint64 { return d.allocs }
 
 // Entries returns the number of allocated entries across all homes (equal
 // to Allocs, since entries are never deallocated).
-func (d *Directory) Entries() int { return int(d.Allocs()) }
+func (d *Directory) Entries() int { return int(d.allocs) }
 
 // LineSize returns the directory's coherence unit.
 func (d *Directory) LineSize() int { return d.lineSize }

@@ -4,15 +4,12 @@
 // standard library (go/parser + go/ast + go/types with the source importer),
 // matching the module's zero-dependency stance.
 //
-// The engine ships six analyzers grounded in real invariants of this
+// The engine ships five analyzers grounded in real invariants of this
 // codebase (see the Analyzers variable). Three of them apply only to the
 // "deterministic zone" — the packages whose outputs must be bit-identical
-// across runs and -parallel settings — atomicmix and errdrop apply
-// module-wide, and confine is a whole-program analysis that proves the
-// protocol-state partition (//zlint:confine annotations, DESIGN.md "State
-// confinement") whenever the full module is loaded. Findings are emitted
-// as "file:line: analyzer: message" and any unsuppressed finding makes
-// cmd/zlint exit nonzero.
+// across runs and -parallel settings — and atomicmix and errdrop apply
+// module-wide. Findings are emitted as "file:line: analyzer: message" and
+// any unsuppressed finding makes cmd/zlint exit nonzero.
 //
 // A finding can be suppressed with a same-line or preceding-line comment of
 // the form
@@ -60,18 +57,13 @@ type Package struct {
 	InZone bool
 }
 
-// An Analyzer inspects one package and reports findings. Exactly one of
-// Run and RunGlobal is set: Run sees each package in isolation, while
-// RunGlobal sees the whole loaded package set at once (whole-program
-// analyses like confine, which must trace call paths across packages).
+// An Analyzer inspects one package in isolation and reports findings.
 type Analyzer struct {
 	Name string
 	Doc  string
 	// ZoneOnly restricts the analyzer to deterministic-zone packages.
 	ZoneOnly bool
 	Run      func(p *Package) []Finding
-	// RunGlobal, when set, is invoked once with every loaded package.
-	RunGlobal func(pkgs []*Package) []Finding
 }
 
 // Analyzers is the full suite, in reporting order.
@@ -81,7 +73,6 @@ var Analyzers = []*Analyzer{
 	GlobalMut,
 	AtomicMix,
 	ErrDrop,
-	Confine,
 }
 
 // AnalyzerNames returns the set of valid analyzer names (used to validate
@@ -98,24 +89,17 @@ func AnalyzerNames() map[string]bool {
 // //zlint:ignore suppressions, and returns the surviving findings plus any
 // suppression problems (missing reason, unknown analyzer, unused
 // suppression), sorted by file, line, column, analyzer, and message.
-// Suppressions are matched across the whole run (by filename), so findings
-// from whole-program analyzers are suppressible exactly like per-package
-// ones.
+// Suppressions are matched across the whole run (by filename).
 func Run(pkgs []*Package) []Finding {
 	sups := &suppressionSet{}
 	var raw []Finding
 	for _, p := range pkgs {
 		sups.sups = append(sups.sups, collectSuppressions(p).sups...)
 		for _, a := range Analyzers {
-			if a.Run == nil || (a.ZoneOnly && !p.InZone) {
+			if a.ZoneOnly && !p.InZone {
 				continue
 			}
 			raw = append(raw, a.Run(p)...)
-		}
-	}
-	for _, a := range Analyzers {
-		if a.RunGlobal != nil {
-			raw = append(raw, a.RunGlobal(pkgs)...)
 		}
 	}
 	var out []Finding

@@ -21,12 +21,9 @@ func loadModule(tb testing.TB) []*Package {
 }
 
 // TestLintTimeBudget guards the whole-module analysis wall-time: the full
-// suite (legacy analyzers plus the confine whole-program fixpoint) over
-// pre-loaded packages must stay within a budget an order of magnitude
-// above today's cost. The fixpoint is worklist-driven and should scale
-// near-linearly with reachable functions; a superlinear regression (e.g.
-// losing join monotonicity and re-analyzing forever) trips this long
-// before it hangs CI.
+// suite over pre-loaded packages must stay within a budget an order of
+// magnitude above today's cost, so a superlinear regression in an analyzer
+// trips this long before it hangs CI.
 func TestLintTimeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-program load in -short mode")

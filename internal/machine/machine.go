@@ -36,8 +36,6 @@ type Machine struct {
 	// allocator, so word indices are dense and every load/store on the
 	// per-access hot path is two array indexings — no hashing, no
 	// steady-state allocation.
-	//
-	//zlint:confine home word values are indexed by WordIndex(addr); the backing pages partition by the address being accessed
 	values memsys.Paged[uint64]
 	procs  []stats.Proc
 	envs   []*Env
@@ -53,19 +51,9 @@ type Machine struct {
 	// syncIDs numbers the synchronization objects (locks, barriers, flags)
 	// built on this machine, for event attribution.
 	syncIDs int32
-	// stage, when non-nil (a sharded run with a recorder or checker
-	// attached), holds one observation-event buffer per kernel shard. Traps
-	// dispatched inside local windows cannot call the recorder/checker
-	// directly — shards run concurrently — so every event is staged in its
-	// shard's buffer keyed by the dispatch (clock, proc id) and merged out
-	// in serial-schedule order at the engine's quiesce points (see
-	// flushStaged). Serial machines and observer-less sharded runs keep the
-	// direct zero-overhead path.
-	stage []stageShard
 	// coreFree[node] is when the node's core finishes its current
 	// computation; with HWThreads > 1 the threads of a node contend for it
 	// (switch-on-miss multithreading: memory stalls do not hold the core).
-	//zlint:confine shard indexed by the issuing processor's own node at every compute dispatch
 	coreFree []Time
 	ran      bool
 }
@@ -80,20 +68,9 @@ func New(kind memsys.Kind, p memsys.Params) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Serial kernel by default; with KernelShards the scheduler is
-	// partitioned by home node with a conservative synchronization window
-	// derived from the minimum cross-shard mesh latency. The schedule of
-	// global-scope operations is bit-identical either way; traps the
-	// protocol's scope probe proves node-private (memsys.ScopedSystem,
-	// DESIGN §15) additionally run concurrently inside local windows.
-	eng := sim.NewEngine(p.Procs)
-	if shards := p.ShardCount(); shards > 0 {
-		eng = sim.NewEngineSharded(p.Procs, shards, p.ShardOfProc)
-		eng.SetLookahead(net.MinCrossShardLatency(p.ShardOfNode, p.CtrlBytes))
-	}
 	m := &Machine{
 		Params:   p,
-		Eng:      eng,
+		Eng:      sim.NewEngine(p.Procs),
 		Net:      net,
 		Mem:      mem,
 		Heap:     shm.NewHeap(p.LineSize),
@@ -106,31 +83,8 @@ func New(kind memsys.Kind, p memsys.Params) (*Machine, error) {
 	if ins, ok := mem.(metrics.Instrumentable); ok {
 		ins.InstrumentMetrics(m.met)
 	}
-	// Scope classification (DESIGN §15): when the kernel is sharded and the
-	// memory system can classify accesses, each Env gets probe closures —
-	// built once here, because the trap hot path must not allocate — that
-	// the kernel evaluates at dispatch time through sim.Proc.SyncScoped.
-	// Fault-injection runs stay all-global: the probes' soundness arguments
-	// assume a correct protocol (a deliberately dropped invalidation leaves
-	// a stale copy whose "hit" would overclaim locality).
-	scoped, _ := mem.(memsys.ScopedSystem)
-	classify := scoped != nil && p.ShardCount() > 0 && p.FaultInjection == ""
 	for i := 0; i < p.Procs; i++ {
-		e := &Env{m: m, p: m.Eng.Proc(i), st: &m.procs[i],
-			sharded: p.ShardCount() > 0, shard: p.ShardOfProc(i)}
-		if classify {
-			id := i
-			e.loadProbe = func() bool {
-				return scoped.ScopeOf(id, e.probeAddr, shm.WordSize, e.p.Clock(), memsys.AccessLoad)
-			}
-			e.storeProbe = func() bool {
-				return scoped.ScopeOf(id, e.probeAddr, shm.WordSize, e.p.Clock(), memsys.AccessStore)
-			}
-			e.swapProbe = func() bool {
-				return scoped.ScopeOf(id, e.probeAddr, shm.WordSize, e.p.Clock(), memsys.AccessSwap)
-			}
-		}
-		m.envs = append(m.envs, e)
+		m.envs = append(m.envs, &Env{m: m, p: m.Eng.Proc(i), st: &m.procs[i]})
 	}
 	return m, nil
 }
@@ -216,14 +170,9 @@ func (m *Machine) Run(app string, body func(e *Env)) *stats.Result {
 		panic("machine: Run called twice; build a fresh Machine per run")
 	}
 	m.ran = true
-	if m.Params.ShardCount() > 0 && (m.rec != nil || m.chk != nil) {
-		m.stage = make([]stageShard, m.Params.ShardCount())
-		m.Eng.SetQuiesce(m.flushStaged)
-	}
 	exec := m.Eng.Run(func(p *sim.Proc) {
 		body(m.envs[p.ID()])
 	})
-	m.drainStaged()
 	m.chk.Finish()
 	if metrics.Enabled() {
 		m.publishMetrics(exec)
@@ -274,119 +223,8 @@ func (m *Machine) publishMetrics(exec Time) {
 	r.Counter("proto.pointer_evictions").Add(c.PointerEvictions)
 	r.Counter("machine.runs").Inc()
 	r.Counter("machine.exec_cycles").Add(uint64(exec))
-	// Scope-classification accounting (sharded runs only, so the serial
-	// metric set is unchanged and the serial-vs-sharded benchdiff gate can
-	// skip the mode-dependent keys by presence): how many machine traps
-	// dispatched local- vs global-scope, per trap kind and in total. The
-	// tallies are per-Env (goroutine-confined during the run) and summed
-	// here, after the engine has quiesced.
-	if m.Params.ShardCount() > 0 {
-		var tl, tg uint64
-		for k := 0; k < numTraps; k++ {
-			var l, g uint64
-			for _, e := range m.envs {
-				l += e.nLocal[k]
-				g += e.nGlobal[k]
-			}
-			tl += l
-			tg += g
-			r.Counter("machine.scope." + scopeTrapNames[k] + "_local").Add(l)
-			r.Counter("machine.scope." + scopeTrapNames[k] + "_global").Add(g)
-		}
-		r.Counter("machine.scope.local_dispatches").Add(tl)
-		r.Counter("machine.scope.global_dispatches").Add(tg)
-	}
 	metrics.Default.Merge(r)
 }
-
-// stagedEv is one observation event staged during a sharded run, keyed by
-// the dispatch (clock, proc id) of the trap that produced it. The event's
-// own At may exceed the dispatch clock (stall advances between dispatch and
-// recording); the dispatch key — not At — is what orders events in the
-// serial schedule.
-type stagedEv struct {
-	at   Time
-	proc int32
-	ev   trace.Event
-}
-
-// stageShard is one shard's staged-event FIFO. Only the shard's currently
-// dispatched processor appends (shards dispatch one processor at a time),
-// and only the engine coordinator drains (at quiesce points), so there is
-// no concurrent access; the phase hand-offs are channel operations.
-type stageShard struct {
-	//zlint:confine shard only the shard's currently dispatched processor appends to its own shard's FIFO
-	evs  []stagedEv
-	head int
-}
-
-// flushStaged merges staged observation events strictly below the
-// (clock, id) bound out of the per-shard buffers, in serial-schedule order,
-// into the recorder and checker. The engine calls it (via SetQuiesce) at
-// every serial-phase iteration, when all processors are parked and every
-// future dispatch orders at or above the bound, so the merged prefix is
-// final. Soundness of the merge: per-shard dispatch keys are nondecreasing
-// (heap order within windows, and the boundary pops the global minimum),
-// serial dispatch keys are globally nondecreasing (every wake-up lands
-// strictly after the waker's dispatch clock — all machine wake-ups travel
-// the mesh), and a key never repeats across shards (the proc id pins the
-// shard) — so a stable ascending merge by (clock, proc), FIFO within a
-// shard, reproduces exactly the order a serial run records events in.
-func (m *Machine) flushStaged(clock sim.Time, id int) {
-	for {
-		best := -1
-		for si := range m.stage {
-			s := &m.stage[si]
-			if s.head == len(s.evs) {
-				continue
-			}
-			h := &s.evs[s.head]
-			if h.at > clock || (h.at == clock && int(h.proc) >= id) {
-				continue // at or above the bound: not final yet
-			}
-			if best >= 0 {
-				b := &m.stage[best].evs[m.stage[best].head]
-				if h.at > b.at || (h.at == b.at && h.proc > b.proc) {
-					continue
-				}
-			}
-			best = si
-		}
-		if best < 0 {
-			return
-		}
-		s := &m.stage[best]
-		ev := s.evs[s.head].ev
-		s.head++
-		if s.head == len(s.evs) {
-			s.evs, s.head = s.evs[:0], 0
-		}
-		m.rec.Record(ev)
-		m.chk.Observe(ev)
-	}
-}
-
-// drainStaged flushes every remaining staged event after the run finishes
-// (all dispatches are final then), before the checker's Finish audit.
-func (m *Machine) drainStaged() {
-	if m.stage == nil {
-		return
-	}
-	m.flushStaged(^sim.Time(0), int(^uint(0)>>1))
-}
-
-// Trap kinds of the machine.scope.* per-trap dispatch breakdown.
-const (
-	trapLoad = iota
-	trapStore
-	trapSwap
-	trapCompute
-	numTraps
-)
-
-// scopeTrapNames are the metric name components of the per-trap breakdown,
-// indexed by the trap constants above.
-var scopeTrapNames = [numTraps]string{"load", "store", "swap", "compute"} //zlint:ignore globalmut immutable name table, never written after package init
 
 // Env is the per-processor view of the machine: the trap interface through
 // which application code computes, accesses shared memory, and (via
@@ -395,47 +233,6 @@ type Env struct {
 	m  *Machine
 	p  *sim.Proc
 	st *stats.Proc
-
-	// Scoped dispatch (DESIGN §15). The probe closures are built once at
-	// construction and parameterized through probeAddr (the hot path must
-	// not allocate); they are nil on serial machines, under fault
-	// injection, and for memory systems without a scope probe — every trap
-	// then dispatches global-scope exactly as before. probeAddr is written
-	// by this Env's processor before it traps and read by the kernel's
-	// dispatch points; the trap's coroutine switch orders the two.
-	loadProbe  func() bool
-	storeProbe func() bool
-	swapProbe  func() bool
-	//zlint:confine shard written by this Env's own processor immediately before it traps
-	probeAddr memsys.Addr
-	sharded   bool
-	shard     int
-	// Per-trap dispatch tallies (written only by this Env's processor,
-	// summed into machine.scope.* after the run).
-	//
-	//zlint:confine shard dispatch tallies are bumped only by this Env's own processor
-	nLocal [numTraps]uint64
-	//zlint:confine shard dispatch tallies are bumped only by this Env's own processor
-	nGlobal [numTraps]uint64
-}
-
-// dispatch issues one machine trap: scope-classified through the kernel's
-// dispatch-time probe when one is installed, plain global-scope Sync
-// otherwise.
-func (e *Env) dispatch(kind int, probe func() bool, addr memsys.Addr) {
-	if probe == nil {
-		e.p.Sync()
-		if e.sharded {
-			e.nGlobal[kind]++
-		}
-		return
-	}
-	e.probeAddr = addr
-	if e.p.SyncScoped(probe) {
-		e.nLocal[kind]++
-	} else {
-		e.nGlobal[kind]++
-	}
 }
 
 // ID returns the processor (execution stream) number.
@@ -462,14 +259,8 @@ func (e *Env) Clock() Time { return e.p.Clock() }
 // thread's computation hide them.
 func (e *Env) Compute(c Time) {
 	if e.m.Params.HWThreads > 1 {
-		// The core reservation touches only coreFree[node], and a node's
-		// threads all live on one shard (ShardOfNode bands are contiguous),
-		// so the trap is unconditionally node-private: SyncLocal, not Sync.
-		// On a serial engine SyncLocal is exactly Sync.
-		e.p.SyncLocal()
-		if e.sharded {
-			e.nLocal[trapCompute]++
-		}
+		// The core is shared by the node's threads: reserve it in order.
+		e.p.Sync()
 		node := e.m.Params.Node(e.ID())
 		if f := e.m.coreFree[node]; f > e.p.Clock() {
 			e.st.CoreWait += f - e.p.Clock()
@@ -483,7 +274,7 @@ func (e *Env) Compute(c Time) {
 
 // LoadU64 performs a simulated shared read of the 8-byte word at addr.
 func (e *Env) LoadU64(addr memsys.Addr) uint64 {
-	e.dispatch(trapLoad, e.loadProbe, addr)
+	e.p.Sync()
 	at := e.p.Clock()
 	stall := e.m.Mem.Read(e.ID(), addr, shm.WordSize, at)
 	e.st.ReadStall += stall
@@ -495,7 +286,7 @@ func (e *Env) LoadU64(addr memsys.Addr) uint64 {
 
 // StoreU64 performs a simulated shared write of the 8-byte word at addr.
 func (e *Env) StoreU64(addr memsys.Addr, v uint64) {
-	e.dispatch(trapStore, e.storeProbe, addr)
+	e.p.Sync()
 	at := e.p.Clock()
 	stall := e.m.Mem.Write(e.ID(), addr, shm.WordSize, at)
 	e.st.WriteStall += stall
@@ -510,7 +301,7 @@ func (e *Env) StoreU64(addr memsys.Addr, v uint64) {
 // and the write's as write stall, like the two halves of a locked bus
 // transaction.
 func (e *Env) AtomicSwapU64(addr memsys.Addr, v uint64) uint64 {
-	e.dispatch(trapSwap, e.swapProbe, addr)
+	e.p.Sync()
 	at := e.p.Clock()
 	rstall := e.m.Mem.Read(e.ID(), addr, shm.WordSize, at)
 	e.st.ReadStall += rstall
@@ -527,17 +318,8 @@ func (e *Env) AtomicSwapU64(addr memsys.Addr, v uint64) uint64 {
 }
 
 // event offers an event to the trace recorder and the conformance checker
-// (both nil-safe). On a sharded run with observers attached the event is
-// staged in the shard's buffer instead — the trap may be running inside a
-// local window, concurrently with other shards — keyed by the issuing
-// processor's dispatch (clock, id); flushStaged replays the merged stream
-// to the recorder and checker in exactly the serial recording order.
+// (both nil-safe).
 func (e *Env) event(ev trace.Event) {
-	if e.m.stage != nil {
-		s := &e.m.stage[e.shard]
-		s.evs = append(s.evs, stagedEv{at: e.p.DispatchedAt(), proc: int32(e.ID()), ev: ev})
-		return
-	}
 	e.m.rec.Record(ev)
 	e.m.chk.Observe(ev)
 }

@@ -20,6 +20,7 @@ func TestParamsFromJSONRejectsUntrustedInput(t *testing.T) {
 		{"wrong field type", `{"Procs":"sixteen"}`, "bad params JSON"},
 		{"unknown field", `{"Porcs":16}`, "unknown field"},
 		{"unknown field among valid", `{"Procs":16,"LineSz":64}`, "unknown field"},
+		{"removed kernel shards field", `{"KernelShards":4}`, "unknown field"},
 		{"trailing garbage", `{"Procs":16} {"Procs":8}`, "trailing data"},
 		{"trailing scalar", `{"Procs":16} 7`, "trailing data"},
 		{"procs zero", `{"Procs":0}`, "Procs"},

@@ -104,39 +104,6 @@ type MemSystem interface {
 	Counters() *Counters
 }
 
-// AccessClass identifies the kind of machine trap a scope probe is asked
-// to classify (see ScopedSystem).
-type AccessClass uint8
-
-const (
-	AccessLoad  AccessClass = iota // LoadU64: a shared read
-	AccessStore                    // StoreU64: a shared write
-	AccessSwap                     // AtomicSwapU64: a read + write at one point
-)
-
-// ScopedSystem is implemented by memory systems that can classify an access
-// before it is issued (the PDES phase-2 seam, DESIGN §15). ScopeOf reports
-// whether the size-byte access processor p would issue at addr at time now
-// is provably node-private: executing it would touch only state owned by
-// p's node (its cache, its store/merge buffer, its per-processor counters)
-// with no directory transition, no network traffic, and no effect on any
-// other processor's timing or on any word another node could concurrently
-// access. The machine layer then dispatches the trap through
-// sim.Proc.SyncScoped, letting provably-private accesses run inside local
-// shard windows while everything else serializes at window boundaries.
-//
-// Contract: ScopeOf must be pure — no counter increments, no recency
-// updates, no allocation in paged tables — because the kernel evaluates it
-// exactly once per trap, at the serial-prefix point that dispatches the
-// operation, possibly while other shards are concurrently draining
-// local-only windows of their own. It must be conservative: when in doubt,
-// return false (global). Returning true for an access that turns out to
-// mutate shared state is a soundness bug; the kernel's watermark/curScope
-// tripwires turn such overclaims into deterministic panics.
-type ScopedSystem interface {
-	ScopeOf(p int, addr Addr, size int, now Time, class AccessClass) (local bool)
-}
-
 // TokenSystem is implemented by memory systems that decouple data flow
 // from synchronization (the paper's §6 architectural implication): a
 // release does not stall the producer; the synchronization primitive
@@ -150,8 +117,6 @@ type TokenSystem interface {
 
 // Counters aggregates protocol events for the whole run plus per-processor
 // access counts (Table 1 reports the number of writes per application).
-//
-//zlint:confine global run-wide event tallies are bumped from whichever processor's trap triggers the event; serialized by the trap token (phase-3 worklist)
 type Counters struct {
 	Reads       uint64 // shared reads issued
 	Writes      uint64 // shared writes issued
@@ -172,9 +137,11 @@ type Counters struct {
 
 	NetworkCycles uint64 // total cycles of link occupancy injected (Table 1)
 
-	//zlint:confine shard CountRead writes only the issuing processor's own cell (local shard windows count here to avoid a cross-shard race)
-	PerProcReads []uint64
-	//zlint:confine shard CountWrite writes only the issuing processor's own cell (local shard windows count here to avoid a cross-shard race)
+	// PerProcReads and PerProcWrites are the per-processor access counts.
+	// They are part of every stats.Result (and so of its JSON encoding),
+	// and they are the only copy a trap writes: Reads and Writes are
+	// derived from them by Fold.
+	PerProcReads  []uint64
 	PerProcWrites []uint64
 }
 
@@ -184,9 +151,8 @@ func NewCounters(p int) *Counters {
 }
 
 // CountRead records a read issued by processor p. Only the per-processor
-// cell is written — node-private cache hits are counted from inside local
-// shard windows, where a shared Reads++ would race across shards. The
-// aggregate Reads/Writes totals are derived by Fold at harvest time.
+// cell is written; the aggregate Reads/Writes totals are derived by Fold at
+// harvest time, so each access is counted in exactly one place.
 func (c *Counters) CountRead(p int) {
 	c.PerProcReads[p]++
 }

@@ -124,8 +124,8 @@ func TestCountersPerProc(t *testing.T) {
 	c.CountRead(1)
 	c.CountRead(1)
 	c.CountWrite(3)
-	// CountRead/CountWrite touch only the per-processor cells (they may run
-	// inside local shard windows); the aggregates are derived by Fold.
+	// CountRead/CountWrite touch only the per-processor cells; the
+	// aggregates are derived by Fold.
 	if c.Reads != 0 || c.Writes != 0 {
 		t.Fatalf("aggregates written eagerly: reads=%d writes=%d", c.Reads, c.Writes)
 	}
@@ -283,139 +283,5 @@ func TestTransferCyclesMinimumOne(t *testing.T) {
 	}
 	if got := p.TransferCycles(0); got != 1 {
 		t.Fatalf("zero-byte transfer = %d, want 1", got)
-	}
-}
-
-func TestKernelShardsValidate(t *testing.T) {
-	p := Default(8)
-	p.KernelShards = -1
-	if err := p.Validate(); err == nil {
-		t.Error("negative KernelShards validated")
-	}
-	p.KernelShards = MaxProcs + 1
-	if err := p.Validate(); err == nil {
-		t.Error("KernelShards above MaxProcs validated")
-	}
-	for _, s := range []int{0, 1, 4, MaxProcs} {
-		p.KernelShards = s
-		if err := p.Validate(); err != nil {
-			t.Errorf("KernelShards = %d: %v", s, err)
-		}
-	}
-}
-
-func TestShardCountClamp(t *testing.T) {
-	p := Default(8)
-	cases := []struct{ set, want int }{
-		{0, 0}, {1, 1}, {4, 4}, {8, 8}, {9, 8}, {64, 8},
-	}
-	for _, c := range cases {
-		p.KernelShards = c.set
-		if got := p.ShardCount(); got != c.want {
-			t.Errorf("ShardCount with KernelShards=%d = %d, want %d", c.set, got, c.want)
-		}
-	}
-}
-
-// TestShardOfNodeBands pins the shard map: contiguous, balanced bands of
-// row-major node numbers, covering every shard index, monotone in the node
-// number (so a shard is a band of adjacent mesh rows).
-func TestShardOfNodeBands(t *testing.T) {
-	p := Default(16)
-	for _, shards := range []int{1, 2, 3, 4, 16} {
-		p.KernelShards = shards
-		sizes := make([]int, shards)
-		prev := 0
-		for node := 0; node < p.Nodes(); node++ {
-			s := p.ShardOfNode(node)
-			if s < 0 || s >= shards {
-				t.Fatalf("shards=%d: ShardOfNode(%d) = %d out of range", shards, node, s)
-			}
-			if s < prev {
-				t.Fatalf("shards=%d: shard map not monotone at node %d", shards, node)
-			}
-			prev = s
-			sizes[s]++
-		}
-		for s, n := range sizes {
-			if n == 0 {
-				t.Errorf("shards=%d: shard %d empty", shards, s)
-			}
-			if min := p.Nodes() / shards; n < min || n > min+1 {
-				t.Errorf("shards=%d: shard %d has %d nodes, want %d or %d", shards, s, n, min, min+1)
-			}
-		}
-	}
-	// Streams route through their home node's shard.
-	p = DefaultMT(16, 2) // 8 nodes, 2 threads each
-	p.KernelShards = 2
-	for stream := 0; stream < 16; stream++ {
-		if got, want := p.ShardOfProc(stream), p.ShardOfNode(stream/2); got != want {
-			t.Errorf("ShardOfProc(%d) = %d, want node shard %d", stream, got, want)
-		}
-	}
-}
-
-// TestShardOfNodeBandsManyCore repeats the band invariants beyond the old
-// 64-processor ceiling: 256 nodes (16×16 mesh) and 1024 nodes (32×32
-// mesh), plus the hierarchical topology where contiguous bands must group
-// whole 16-node clusters when the shard count divides the cluster count.
-func TestShardOfNodeBandsManyCore(t *testing.T) {
-	cases := []struct {
-		procs  int
-		topo   string
-		shards []int
-	}{
-		{256, "mesh", []int{2, 4, 8, 16}},
-		{1024, "mesh", []int{4, 8, 32}},
-		{256, "hier", []int{4, 8, 16}},
-	}
-	for _, c := range cases {
-		p := Default(c.procs)
-		p.Topology = c.topo
-		if err := p.Validate(); err != nil {
-			t.Fatalf("Procs=%d %s: %v", c.procs, c.topo, err)
-		}
-		for _, shards := range c.shards {
-			p.KernelShards = shards
-			sizes := make([]int, shards)
-			prev := 0
-			for node := 0; node < p.Nodes(); node++ {
-				s := p.ShardOfNode(node)
-				if s < 0 || s >= shards {
-					t.Fatalf("Procs=%d %s shards=%d: ShardOfNode(%d) = %d out of range", c.procs, c.topo, shards, node, s)
-				}
-				if s < prev {
-					t.Fatalf("Procs=%d %s shards=%d: shard map not monotone at node %d", c.procs, c.topo, shards, node)
-				}
-				prev = s
-				sizes[s]++
-			}
-			for s, n := range sizes {
-				if min := p.Nodes() / shards; n < min || n > min+1 {
-					t.Errorf("Procs=%d %s shards=%d: shard %d has %d nodes, want %d or %d", c.procs, c.topo, shards, s, n, min, min+1)
-				}
-			}
-			if c.topo == "hier" && p.Nodes()/shards%HierClusterNodes == 0 {
-				// Cluster-major numbering: a band that is a multiple of the
-				// cluster size never splits a cluster across shards.
-				for node := 0; node < p.Nodes(); node += HierClusterNodes {
-					first := p.ShardOfNode(node)
-					for off := 1; off < HierClusterNodes; off++ {
-						if got := p.ShardOfNode(node + off); got != first {
-							t.Fatalf("Procs=%d hier shards=%d: cluster at node %d split across shards %d/%d", c.procs, shards, node, first, got)
-						}
-					}
-				}
-			}
-		}
-	}
-	// Stream→shard mapping at 256 procs on 128 nodes.
-	p := DefaultMT(256, 2)
-	p.KernelShards = 4
-	for stream := 0; stream < 256; stream += 17 {
-		if got, want := p.ShardOfProc(stream), p.ShardOfNode(stream/2); got != want {
-			t.Errorf("ShardOfProc(%d) = %d, want node shard %d", stream, got, want)
-		}
 	}
 }

@@ -33,7 +33,6 @@ const (
 // Paged is not safe for concurrent use, matching the maps it replaces (the
 // simulation kernel serializes globally visible operations).
 type Paged[T any] struct {
-	//zlint:confine carrier pages are grown and written only through owning tables that are themselves home- or shard-confined
 	pages [][]T
 }
 

@@ -73,15 +73,6 @@ type Params struct {
 	LockLatency    Time // lock/unlock manipulation cost at the home node
 	BarrierLatency Time // barrier arrival bookkeeping cost
 
-	// KernelShards partitions the simulation kernel's cooperative scheduler
-	// into this many shards by home node, with a conservative synchronization
-	// window derived from the minimum cross-shard mesh latency (intra-run
-	// PDES; see internal/sim's sharded mode). 0 (the default) runs the
-	// serial engine. Results are bit-identical at any setting; shard counts
-	// above the node count are clamped to it. 1 exercises the full window
-	// protocol with every processor in one shard.
-	KernelShards int
-
 	// FaultInjection seeds a deliberate protocol bug so the conformance
 	// checker (internal/check) can be validated against a known defect.
 	// Empty (the default) injects nothing. "drop-update" makes the
@@ -192,10 +183,6 @@ func (pa Params) Validate() error {
 		return fmt.Errorf("memsys: CacheLines %% CacheAssoc != 0")
 	case pa.DirPointers < 0:
 		return fmt.Errorf("memsys: DirPointers = %d, need >= 0", pa.DirPointers)
-	case pa.KernelShards < 0:
-		return fmt.Errorf("memsys: KernelShards = %d, need >= 0 (0 = serial kernel)", pa.KernelShards)
-	case pa.KernelShards > MaxProcs:
-		return fmt.Errorf("memsys: KernelShards = %d exceeds the %d-processor limit", pa.KernelShards, MaxProcs)
 	}
 	switch pa.ZOracle {
 	case "", "broadcast", "perfect":
@@ -224,35 +211,6 @@ func (pa Params) Validate() error {
 	}
 	return nil
 }
-
-// ShardCount returns the effective kernel shard count: KernelShards clamped
-// to the node count. 0 selects the serial kernel.
-func (pa Params) ShardCount() int {
-	if pa.KernelShards <= 0 {
-		return 0
-	}
-	if n := pa.Nodes(); pa.KernelShards > n {
-		return n
-	}
-	return pa.KernelShards
-}
-
-// ShardOfNode maps a NUMA node to its kernel shard: contiguous, balanced
-// node blocks. Node numbering is row-major across the mesh, so a shard is a
-// band of adjacent rows — cross-shard messages always cross the band
-// boundary, which is what makes the minimum cross-shard mesh latency a
-// useful lookahead.
-func (pa Params) ShardOfNode(node int) int {
-	s := pa.ShardCount()
-	if s <= 1 {
-		return 0
-	}
-	return node * s / pa.Nodes()
-}
-
-// ShardOfProc maps an execution stream to its kernel shard via its home
-// NUMA node.
-func (pa Params) ShardOfProc(p int) int { return pa.ShardOfNode(pa.Node(p)) }
 
 // Home returns the NUMA node owning the line containing addr, for the given
 // coherence line size: lines are interleaved round-robin across nodes.

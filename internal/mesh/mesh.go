@@ -22,8 +22,6 @@ type Time = memsys.Time
 // Net is the interconnect between the machine's nodes: a routing topology
 // (mesh by default — the paper's network) plus link bandwidth, per-hop
 // latency, and per-link FIFO contention.
-//
-//zlint:confine global link occupancy couples all nodes by construction — any processor's message reserves an arbitrary src→dst link; serialized by the trap token (the sharded kernel bounds it with conservative lookahead)
 type Net struct {
 	topo Topology
 
@@ -136,36 +134,6 @@ func (n *Net) UncontendedLatency(src, dst, bytes int) Time {
 	}
 	transfer := memsys.LinkTransferCycles(n.cyclesPerByte, bytes)
 	return Time(n.Hops(src, dst)) * (n.hopLatency + transfer)
-}
-
-// MinCrossShardLatency returns the smallest uncontended latency of a
-// message of the given size between any two nodes in different shards,
-// where shardOf maps a node to its shard index. This is the conservative
-// lookahead of the sharded simulation kernel (sim.Engine.SetLookahead): no
-// effect of an operation on one shard can reach another shard's state in
-// less virtual time, because every cross-shard interaction travels the
-// mesh. With a single shard (or none) there are no cross-shard pairs and
-// the result is 0, the always-safe degenerate lookahead. Contention only
-// ever delays a message, so the uncontended latency is a sound lower
-// bound.
-func (n *Net) MinCrossShardLatency(shardOf func(node int) int, bytes int) Time {
-	nodes := n.topo.Nodes()
-	var min Time
-	found := false
-	for a := 0; a < nodes; a++ {
-		for b := 0; b < nodes; b++ {
-			if a == b || shardOf(a) == shardOf(b) {
-				continue
-			}
-			if l := n.UncontendedLatency(a, b, bytes); !found || l < min {
-				min, found = l, true
-			}
-		}
-	}
-	if !found {
-		return 0
-	}
-	return min
 }
 
 // MaxUncontendedLatency returns the worst-case uncontended latency from src

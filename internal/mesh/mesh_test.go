@@ -209,76 +209,3 @@ func BenchmarkSend(b *testing.B) {
 		})
 	}
 }
-
-// TestMinCrossShardLatency pins the sharded kernel's lookahead on the 4x4
-// default mesh: with two row-band shards the closest cross-shard pair is
-// mesh-adjacent (one hop), so the lookahead is exactly one hop plus one
-// control-message transfer. A single shard has no cross-shard pairs and
-// degenerates to the always-safe 0.
-func TestMinCrossShardLatency(t *testing.T) {
-	p := memsys.Default(16)
-	n := New(p)
-
-	p.KernelShards = 2
-	got := n.MinCrossShardLatency(p.ShardOfNode, p.CtrlBytes)
-	want := p.HopLatency + p.TransferCycles(p.CtrlBytes) // 1 hop across the band boundary
-	if got != want {
-		t.Errorf("two-band lookahead = %d, want %d", got, want)
-	}
-	if adj := n.UncontendedLatency(4, 8, p.CtrlBytes); got != adj {
-		t.Errorf("lookahead %d != adjacent boundary pair latency %d", got, adj)
-	}
-
-	p.KernelShards = 1
-	if got := n.MinCrossShardLatency(p.ShardOfNode, p.CtrlBytes); got != 0 {
-		t.Errorf("single-shard lookahead = %d, want 0", got)
-	}
-}
-
-// TestMinCrossShardLatencyManyCoreLowerBound is the exhaustive-node check
-// behind the sharded kernel's lookahead contract at many-core scale: on
-// the 16×16 mesh, the 32×32 mesh, and the 256-node hierarchical topology,
-// every cross-shard pair's uncontended latency must be at least the
-// reported minimum, and some pair must achieve it exactly.
-func TestMinCrossShardLatencyManyCoreLowerBound(t *testing.T) {
-	cases := []struct {
-		procs  int
-		topo   string
-		shards int
-	}{
-		{256, "mesh", 4},
-		{1024, "mesh", 8},
-		{256, "hier", 4},
-	}
-	for _, c := range cases {
-		p := memsys.Default(c.procs)
-		p.Topology = c.topo
-		p.KernelShards = c.shards
-		if err := p.Validate(); err != nil {
-			t.Fatalf("Procs=%d %s: %v", c.procs, c.topo, err)
-		}
-		n := New(p)
-		got := n.MinCrossShardLatency(p.ShardOfNode, p.CtrlBytes)
-		if got <= 0 {
-			t.Fatalf("Procs=%d %s shards=%d: lookahead = %d, want positive", c.procs, c.topo, c.shards, got)
-		}
-		achieved := false
-		for src := 0; src < p.Nodes(); src++ {
-			for dst := 0; dst < p.Nodes(); dst++ {
-				if p.ShardOfNode(src) == p.ShardOfNode(dst) {
-					continue
-				}
-				lat := n.UncontendedLatency(src, dst, p.CtrlBytes)
-				if lat < got {
-					t.Fatalf("Procs=%d %s shards=%d: pair %d->%d latency %d below lookahead %d", c.procs, c.topo, c.shards, src, dst, lat, got)
-				}
-				if lat == got {
-					achieved = true
-				}
-			}
-		}
-		if !achieved {
-			t.Errorf("Procs=%d %s shards=%d: lookahead %d not achieved by any cross-shard pair", c.procs, c.topo, c.shards, got)
-		}
-	}
-}

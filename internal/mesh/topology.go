@@ -243,9 +243,9 @@ func (c *cubeTopo) Dim() int { return bits.TrailingZeros(uint(c.n)) }
 // hierTopo is a hierarchical cluster-of-meshes: every cluster is the
 // paper's 4×4 mesh (memsys.HierClusterNodes nodes), and the clusters are
 // tiled in a higher-level cw×ch mesh. Node numbering is cluster-major
-// (node = cluster*16 + local, local row-major inside the cluster), so the
-// kernel's contiguous shard bands (memsys.ShardOfNode) group whole
-// clusters and every cross-shard message crosses a cluster boundary.
+// (node = cluster*16 + local, local row-major inside the cluster), so each
+// cluster is a contiguous block of node numbers. Homes interleave lines by
+// node number, so every hier result depends on this numbering.
 //
 // Routing is two-level dimension order: inside the destination cluster an
 // ordinary XY route; between clusters the message first drains to the

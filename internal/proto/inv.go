@@ -19,7 +19,6 @@ import (
 // whose fills complete in the background.
 type inv struct {
 	base
-	//zlint:confine shard sb[node] is drained and refilled only by the issuing stream's own node
 	sb   []*wbuffer.StoreBuffer
 	sc   bool // sequentially consistent variant
 	lazy bool // rcsync: releases never drain; consumers wait on the watermark
@@ -134,25 +133,3 @@ func (v *inv) ReleaseWatermark(p int, now Time) Time {
 }
 
 func (v *inv) Acquire(int, Time) Time { return 0 }
-
-// ScopeOf implements memsys.ScopedSystem (DESIGN §15). An access is
-// node-private exactly when it would take the cache-hit fast path of
-// Read/Write above: everything that path touches — the node's cache
-// recency, a pending fill's ReadyAt wait, the per-processor access cell —
-// is owned by the issuing node, with no directory transition and no
-// traffic. A store (or the write half of a swap) additionally requires the
-// line already held Modified: exclusive ownership guarantees no other node
-// has a copy, so no concurrently running shard can load the word the
-// machine layer is about to overwrite. Applies unchanged to all three
-// variants (RCinv, SCinv, RCsync): they differ only on miss and release
-// paths, which stay global.
-func (v *inv) ScopeOf(p int, addr memsys.Addr, size int, now Time, class memsys.AccessClass) bool {
-	l, ok := v.caches[v.node(p)].Lookup(v.line(addr))
-	if !ok {
-		return false
-	}
-	if class == memsys.AccessLoad {
-		return true
-	}
-	return l.State == cache.Modified
-}

@@ -66,16 +66,13 @@ func MustNew(kind memsys.Kind, p memsys.Params, net *mesh.Net) memsys.MemSystem 
 // per NUMA node; with HWThreads > 1 several execution streams share each
 // node's hardware, and requests are issued on behalf of the stream's node.
 type base struct {
-	p   memsys.Params
-	net *mesh.Net
-	dir *directory.Directory
-	//zlint:confine global invalidation and update fan-out mutate the private cache of an arbitrary sharer through this container; serialized by the trap token (phase-3 worklist)
+	p      memsys.Params
+	net    *mesh.Net
+	dir    *directory.Directory
 	caches []cache.Cache
 	// seen[node] marks lines ever cached by the node (cold-miss tracking):
 	// paged flat tables indexed by the dense line number, consulted on every
 	// miss, so the lookup must not hash or allocate.
-	//
-	//zlint:confine shard seen[node] is marked only when the issuing stream's own node fills a line
 	seen []memsys.Paged[bool]
 	ctr  *memsys.Counters
 }

@@ -28,9 +28,7 @@ const (
 
 type upd struct {
 	base
-	//zlint:confine shard sb[node] is drained and refilled only by the issuing stream's own node
-	sb []*wbuffer.StoreBuffer
-	//zlint:confine shard mb[node] merges and flushes only the issuing stream's own stores
+	sb   []*wbuffer.StoreBuffer
 	mb   []*wbuffer.MergeBuffer
 	mode updMode
 }
@@ -215,36 +213,3 @@ func (u *upd) ReleaseWatermark(p int, now Time) Time {
 }
 
 func (u *upd) Acquire(int, Time) Time { return 0 }
-
-// ScopeOf implements memsys.ScopedSystem (DESIGN §15). A load is
-// node-private iff it hits the node's cache: that path touches only the
-// node's cache (recency, the line's pending-update count) and the
-// per-processor read cell. A store is node-private iff the merge buffer
-// would absorb it without displacing a victim (Put's no-evict path touches
-// only the node's merge buffer) AND no other node holds a copy of the
-// line: the machine layer writes the word's value at the store, so a
-// sharer in another shard concurrently hitting its cached copy would
-// observe the value before the update transaction — sole-sharership makes
-// that impossible. A swap needs both halves. Applies to all three update
-// modes: competitive/adaptive behavior diverges only in updateTxn and on
-// the miss path, which stay global.
-func (u *upd) ScopeOf(p int, addr memsys.Addr, size int, now Time, class memsys.AccessClass) bool {
-	n := u.node(p)
-	line := u.line(addr)
-	_, hit := u.caches[n].Lookup(line)
-	if class == memsys.AccessLoad {
-		return hit
-	}
-	if class == memsys.AccessSwap && !hit {
-		return false
-	}
-	if !u.mb[n].Contains(line) && u.mb[n].Len() >= u.mb[n].Cap() {
-		return false // Put would displace a victim: an update transaction
-	}
-	if e, ok := u.dir.Lookup(line * memsys.Addr(u.p.LineSize)); ok {
-		if cnt := e.Sharers.Count(); cnt > 1 || (cnt == 1 && !e.Sharers.Has(n)) {
-			return false
-		}
-	}
-	return true
-}

@@ -27,8 +27,6 @@ import (
 //
 // zline is the z-machine's per-line writer record, held in a paged flat
 // table indexed by line number (dense, because the heap bump-allocates).
-//
-//zlint:confine home writer records are reached only through wr.At(line): every trap path indexes by the accessed word-line
 type zline struct {
 	writer  int32 // node of the line's most recent writer
 	writeAt Time  // its issue time (perfect-oracle mode only)
@@ -44,10 +42,8 @@ type zmc struct {
 	// node: the availability counter needs it on every write fan-out and the
 	// scan over destinations is O(nodes). The topology, bandwidth, and
 	// message size are all fixed for a run, so the table is precomputed at
-	// construction — the trap path then reads frozen configuration instead
-	// of filling a lazily-populated memo from whichever processor writes
-	// first (which the confinement analysis would have to admit as shared
-	// mutable state).
+	// construction, so the trap path reads frozen configuration instead of
+	// filling a lazily-populated memo.
 	maxLat  []Time
 	perfect bool
 	ctr     *memsys.Counters
@@ -158,44 +154,6 @@ func (z *zmc) Read(p int, addr memsys.Addr, size int, now Time) Time {
 func (z *zmc) Release(int, Time) Time { return 0 }
 func (z *zmc) Acquire(int, Time) Time { return 0 }
 
-// ScopeOf implements memsys.ScopedSystem (DESIGN §15). Writes always fan
-// availability out through the word-grain directory, so only loads can be
-// node-private — and only the ones that would stall zero cycles at now:
-// that path reads nothing but directory availability and writer records
-// (both written exclusively by global-scope stores) and counts only the
-// per-processor read cell. A stalling read increments the shared
-// ReadMisses counter, so it stays global. The stall computation below
-// mirrors Read exactly, through pure lookups only (dir.Lookup, wr.Peek,
-// the uncontended-latency formula).
-func (z *zmc) ScopeOf(p int, addr memsys.Addr, size int, now Time, class memsys.AccessClass) bool {
-	if class != memsys.AccessLoad {
-		return false
-	}
-	n := z.p.Node(p)
-	local := true
-	z.lines(addr, size, func(line memsys.Addr) {
-		e, ok := z.dir.Lookup(line * memsys.Addr(z.p.ZLineSize))
-		if !ok {
-			return
-		}
-		w := z.wr.Peek(uint64(line))
-		wok := w != nil && w.written
-		if wok && int(w.writer) == n {
-			return
-		}
-		avail := e.AvailableAt
-		if z.perfect && wok {
-			if t := w.writeAt + z.net.UncontendedLatency(int(w.writer), n, z.p.ZLineSize); t > avail {
-				avail = t
-			}
-		}
-		if avail > now {
-			local = false
-		}
-	})
-	return local
-}
-
 // pram is the PRAM reference: unit-cost memory with no communication cost at
 // all. The paper's §5 headline result is that the z-machine's performance
 // matches the PRAM's on all four applications.
@@ -220,11 +178,3 @@ func (m *pram) Write(p int, _ memsys.Addr, _ int, _ Time) Time {
 
 func (m *pram) Release(int, Time) Time { return 0 }
 func (m *pram) Acquire(int, Time) Time { return 0 }
-
-// ScopeOf implements memsys.ScopedSystem. PRAM loads cost nothing and touch
-// only the per-processor read cell, so every load is node-private. Stores
-// stay global: any processor on any shard may load any word at zero cost,
-// so the machine layer's value write must serialize at a window boundary.
-func (m *pram) ScopeOf(p int, addr memsys.Addr, size int, now Time, class memsys.AccessClass) bool {
-	return class == memsys.AccessLoad
-}

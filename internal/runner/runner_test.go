@@ -129,37 +129,31 @@ func TestGridPanicDrainsPool(t *testing.T) {
 // other cells still run, and Grid re-raises it, which is what lets a
 // zsimd job fail without taking the daemon down.
 func TestGridSurfacesBodyPanic(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			withParallelism(2, func() {
-				var ran [8]atomic.Bool
-				defer func() {
-					if r := recover(); r != "body panic in cell 3" {
-						t.Fatalf("recovered %v, want the body's panic", r)
+	t.Run("shards=0", func(t *testing.T) {
+		withParallelism(2, func() {
+			var ran [8]atomic.Bool
+			defer func() {
+				if r := recover(); r != "body panic in cell 3" {
+					t.Fatalf("recovered %v, want the body's panic", r)
+				}
+				for i := range ran {
+					if !ran[i].Load() {
+						t.Fatalf("cell %d never ran after a body panicked", i)
 					}
-					for i := range ran {
-						if !ran[i].Load() {
-							t.Fatalf("cell %d never ran after a body panicked", i)
-						}
+				}
+			}()
+			Grid(len(ran), func(i int) (sim.Time, error) {
+				ran[i].Store(true)
+				return sim.NewEngine(4).Run(func(p *sim.Proc) {
+					p.Advance(sim.Time(1 + p.ID()))
+					p.Sync()
+					if i == 3 && p.ID() == 2 {
+						panic(fmt.Sprintf("body panic in cell %d", i))
 					}
-				}()
-				Grid(len(ran), func(i int) (sim.Time, error) {
-					ran[i].Store(true)
-					e := sim.NewEngine(4)
-					if shards > 0 {
-						e = sim.NewEngineSharded(4, shards, func(p int) int { return p % shards })
-					}
-					return e.Run(func(p *sim.Proc) {
-						p.Advance(sim.Time(1 + p.ID()))
-						p.Sync()
-						if i == 3 && p.ID() == 2 {
-							panic(fmt.Sprintf("body panic in cell %d", i))
-						}
-					}), nil
-				})
+				}), nil
 			})
 		})
-	}
+	})
 }
 
 // TestGridFailureSurfacing is the table-driven contract for error/panic

@@ -27,8 +27,6 @@ type Time uint64
 // Proc is a simulated processor. All methods must be called from the
 // processor's own body function, except Unblock which is called by whichever
 // processor performs the releasing action.
-//
-//zlint:confine global scheduler bookkeeping: Unblock (and the engine's dispatch bookkeeping) mutates the woken processor from the releasing processor's trap, so Proc state is cross-shard by design; the engine serializes it
 type Proc struct {
 	id      int
 	clock   Time
@@ -44,24 +42,6 @@ type Proc struct {
 	next  func() (yieldKind, bool)
 	yield func(yieldKind) bool
 	stop  func()
-
-	// Sharded mode (see shard.go). shd is the owning shard (nil on a serial
-	// engine); pscope classifies the pending operation the processor will
-	// perform when next dispatched. probe, when non-nil, defers that
-	// classification to dispatch time (SyncScoped): the engine evaluates it
-	// exactly once, at the serial-prefix point that actually dispatches the
-	// operation (boundary, serial fast path, or stream), so the
-	// classification is a pure function of the serial schedule and a stale
-	// pre-trap snapshot can never leak into the accounting.
-	// dispatchAt is the processor's clock at its most recent dispatch
-	// (fast-path continuations included); together with the processor id it
-	// is the serial-schedule ordering key of everything the processor does
-	// until its next trap, which is what the machine layer keys staged
-	// trace/checker events by.
-	shd        *shard
-	pscope     scope
-	probe      func() bool
-	dispatchAt Time
 }
 
 // ID returns the processor number in [0, NumProcs).
@@ -74,12 +54,6 @@ func (p *Proc) Clock() Time { return p.clock }
 // computation. It does not involve the scheduler: computation is only
 // locally visible.
 func (p *Proc) Advance(c Time) { p.clock += c }
-
-// DispatchedAt returns the processor's clock at its most recent dispatch
-// (sharded mode). Paired with the processor id it totally orders dispatches
-// in the serial schedule, which makes it the merge key for observation
-// events staged during local windows.
-func (p *Proc) DispatchedAt() Time { return p.dispatchAt }
 
 // AdvanceTo moves the clock forward to t if t is in the future.
 func (p *Proc) AdvanceTo(t Time) {
@@ -118,10 +92,6 @@ func (p *Proc) trap(k yieldKind) {
 // (clock, id) order.
 func (p *Proc) Sync() {
 	e := p.eng
-	if e.shards != nil {
-		p.syncSharded(scopeGlobal)
-		return
-	}
 	if e.aborting {
 		panic(abortRun{})
 	}
@@ -157,47 +127,6 @@ func (p *Proc) Unblock(t Time) {
 		}
 		panic(fmt.Sprintf("sim: Unblock of runnable processor %d", p.id))
 	}
-	if e.shards != nil {
-		// Wake-ups mutate another shard's run queue, so they are only legal
-		// from a serialized global-scope operation (the window boundary),
-		// where exactly one body runs. A local-scope operation waking
-		// anyone would race and could reorder against already-executed
-		// global operations. Both checks are skipped while teardown
-		// unwinds bodies (deferred releases run with stale state).
-		if e.phase == phaseLocal {
-			panic(fmt.Sprintf("sim: Unblock of processor %d from inside a local shard window; wake-ups are only legal from global-scope operations", p.id))
-		}
-		if e.curScope == scopeLocal && !e.aborting {
-			panic(fmt.Sprintf("sim: Unblock of processor %d from a local-scope (SyncLocal) operation; wake-ups are only legal from global-scope (Sync) operations", p.id))
-		}
-		// Lookahead contract: a wake-up ordering below an operation the
-		// target shard already dispatched inside a local window cannot be
-		// scheduled in serial (clock, id) order anymore — the caller's
-		// lookahead promise (SetLookahead) was too large. Fail loudly,
-		// before touching the target's state, instead of diverging
-		// silently.
-		wake := p.clock
-		if t > wake {
-			wake = t
-		}
-		if s := p.shd; !e.aborting && (wake < s.wmClock || (wake == s.wmClock && p.id < s.wmID)) {
-			panic(fmt.Sprintf("sim: Unblock of processor %d at clock %d orders below shard %d's window watermark (clock %d, id %d); lookahead %d violates the cross-shard latency bound",
-				p.id, wake, s.id, s.wmClock, s.wmID, e.lookahead))
-		}
-		// curShard is the shard of the processor running the current window
-		// boundary (fast-pathed continuations included: only the serially
-		// dispatched processor can be executing here).
-		if e.curShard != nil && e.curShard != p.shd {
-			e.xUnblocks++
-		}
-		p.pscope = scopeGlobal // the woken processor's next operation has unknown scope
-		p.probe = nil
-		p.blocked = false
-		p.blockReason = ""
-		p.AdvanceTo(t)
-		p.shd.runq.push(p)
-		return
-	}
 	p.blocked = false
 	p.blockReason = ""
 	p.AdvanceTo(t)
@@ -213,8 +142,6 @@ func (p *Proc) Blocked() bool { return p.blocked }
 type abortRun struct{}
 
 // Engine schedules a fixed set of simulated processors.
-//
-//zlint:confine global the scheduler is machine-wide by construction: any processor's trap can push any other processor onto the run queue; the coordinator serializes it
 type Engine struct {
 	procs []*Proc
 	runq  procHeap
@@ -222,28 +149,6 @@ type Engine struct {
 	// and Block panic(abortRun{}) instead of trapping, and Unblock
 	// tolerates the stale state deferred releases see.
 	aborting bool
-
-	// Sharded mode (see shard.go); shards is nil on a serial engine.
-	// phase, horizon, and serialProc are written by the coordinator only
-	// while no processor body runs (coroutine switches and the window
-	// barrier order every read after the write).
-	shards    []*shard
-	lookahead Time
-	phase     phaseKind
-	horizon   horizon
-	curShard  *shard      // shard of the last serially dispatched processor
-	curScope  scope       // declared scope of the serially running operation
-	phaseDone chan *shard // window-barrier rendezvous
-	windows   uint64      // window phases advanced
-	streams   uint64      // window phases whose minimal shard ran a stream
-	xUnblocks uint64      // wake-ups delivered across shards
-	// quiesce, when set, is called by the coordinator at every serial-phase
-	// iteration with the (clock, id) key of the minimal pending operation
-	// across all shards. All processors are parked at that instant and every
-	// future dispatch orders at or above the key, so the callee may flush
-	// anything staged strictly below it (the machine layer merges per-shard
-	// observation buffers here).
-	quiesce func(clock Time, id int)
 
 	// Instrumentation. The hot-path counts are plain fields (the engine is
 	// single-threaded) harvested into a metrics registry by PublishMetrics;
@@ -271,24 +176,13 @@ func (e *Engine) InstrumentMetrics(r *metrics.Registry) {
 
 // PublishMetrics harvests the engine's plain instrumentation counts into r
 // (implements metrics.Publisher). sim.yields is the total number of
-// globally visible scheduling points: fast-path hits plus full handoffs.
-// Every trap costs exactly one fast-path hit or one switch in any mode, so
-// sim.yields is identical between serial and sharded runs of the same
-// simulation even though the switch/fast-path split shifts once local
-// windows dispatch scope-classified machine traps concurrently (benchdiff
-// therefore gates sim.yields across modes, and sim.switches /
-// sim.fastpath_hits only between runs of the same shard count). On a
-// sharded engine the per-shard window counts are folded in and the
-// sharded-mode counters (sim.shard.*) are published alongside.
+// globally visible scheduling points: every trap costs exactly one
+// fast-path hit or one full handoff, so it is the run's trap count.
 func (e *Engine) PublishMetrics(r *metrics.Registry) {
-	sw, fp := e.Switches(), e.FastPathHits()
-	r.Counter("sim.switches").Add(sw)
-	r.Counter("sim.blocks").Add(e.Blocks())
-	r.Counter("sim.fastpath_hits").Add(fp)
-	r.Counter("sim.yields").Add(fp + sw)
-	if e.shards != nil {
-		e.shardMetrics(r)
-	}
+	r.Counter("sim.switches").Add(e.switches)
+	r.Counter("sim.blocks").Add(e.blocks)
+	r.Counter("sim.fastpath_hits").Add(e.fastPathHits)
+	r.Counter("sim.yields").Add(e.fastPathHits + e.switches)
 }
 
 // NewEngine creates an engine with n processors, all with clock zero.
@@ -321,9 +215,6 @@ func (e *Engine) push(p *Proc) { e.runq.push(p) }
 // of Run with its original value. Either way every other body is unwound
 // first, so its defers run, and the engine stays reusable.
 func (e *Engine) Run(body func(p *Proc)) Time {
-	if e.shards != nil {
-		return e.runSharded(body)
-	}
 	e.runq = e.runq[:0]
 	e.start(body)
 	defer e.contain()
@@ -361,9 +252,6 @@ func (e *Engine) start(body func(p *Proc)) {
 	for _, p := range e.procs {
 		p.clock = 0
 		p.blocked = false
-		p.pscope = scopeGlobal // a body's first operation has unknown scope
-		p.probe = nil
-		p.dispatchAt = 0
 		p.start(body)
 	}
 }
@@ -380,7 +268,6 @@ func (e *Engine) contain() {
 	if r == nil {
 		return
 	}
-	e.phase = phaseSerial
 	e.aborting = true
 	for _, p := range e.procs {
 		if !p.done {
@@ -402,66 +289,30 @@ func (p *Proc) unwind() {
 
 // Switches returns the number of scheduling events (processor
 // resumptions) so far — a measure of how fine-grained the simulation's
-// global operations are. On a sharded engine it includes window dispatches.
-func (e *Engine) Switches() uint64 {
-	n := e.switches
-	for _, s := range e.shards {
-		n += s.switches
-	}
-	return n
-}
+// global operations are.
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // Blocks returns the number of Block (park) events so far.
-func (e *Engine) Blocks() uint64 {
-	n := e.blocks
-	for _, s := range e.shards {
-		n += s.blocks
-	}
-	return n
-}
+func (e *Engine) Blocks() uint64 { return e.blocks }
 
 // FastPathHits returns the number of Sync calls that returned without a
 // scheduler round-trip because the caller was still the minimum-clock
 // runnable processor. Switches + FastPathHits is the total number of
 // globally visible scheduling points.
-func (e *Engine) FastPathHits() uint64 {
-	n := e.fastPathHits
-	for _, s := range e.shards {
-		n += s.fastPathHits
-	}
-	return n
-}
-
-// Windows returns the number of window phases advanced (sharded mode).
-func (e *Engine) Windows() uint64 { return e.windows }
-
-// Streams returns how many of those window phases ran a serial-prefix
-// stream on the minimal shard (sharded mode).
-func (e *Engine) Streams() uint64 { return e.streams }
-
-// CrossShardUnblocks returns the number of wake-ups delivered across
-// shards (sharded mode).
-func (e *Engine) CrossShardUnblocks() uint64 { return e.xUnblocks }
+func (e *Engine) FastPathHits() uint64 { return e.fastPathHits }
 
 func (e *Engine) stateDump() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  switches=%d fastpath=%d blocks=%d\n", e.Switches(), e.FastPathHits(), e.Blocks())
-	if e.shards != nil {
-		e.shardStateDump(&b)
-	}
+	fmt.Fprintf(&b, "  switches=%d fastpath=%d blocks=%d\n", e.switches, e.fastPathHits, e.blocks)
 	// procs[i].id == i by construction, so the dump is already in id order.
 	for _, p := range e.procs {
-		shard := ""
-		if p.shd != nil {
-			shard = fmt.Sprintf(" shard=%d", p.shd.id)
-		}
 		switch {
 		case p.done:
-			fmt.Fprintf(&b, "  P%-2d done     clock=%d%s\n", p.id, p.clock, shard)
+			fmt.Fprintf(&b, "  P%-2d done     clock=%d\n", p.id, p.clock)
 		case p.blocked:
-			fmt.Fprintf(&b, "  P%-2d blocked  clock=%d%s reason=%q\n", p.id, p.clock, shard, p.blockReason)
+			fmt.Fprintf(&b, "  P%-2d blocked  clock=%d reason=%q\n", p.id, p.clock, p.blockReason)
 		default:
-			fmt.Fprintf(&b, "  P%-2d runnable clock=%d%s\n", p.id, p.clock, shard)
+			fmt.Fprintf(&b, "  P%-2d runnable clock=%d\n", p.id, p.clock)
 		}
 	}
 	return b.String()

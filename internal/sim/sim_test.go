@@ -436,12 +436,12 @@ func runRecovered(e *Engine, body func(p *Proc)) (r any) {
 	return nil
 }
 
-// checkBodyPanicContained is the body-panic contract shared by the serial
-// and sharded engines: the original panic value reaches Run's caller, the
-// other bodies' defers run, repeated panicking runs leave no goroutine
-// behind, and the engine is reusable afterwards.
-func checkBodyPanicContained(t *testing.T, e *Engine) {
-	t.Helper()
+// TestBodyPanicContained pins the body-panic contract: the original panic
+// value reaches Run's caller, the other bodies' defers run, repeated
+// panicking runs leave no goroutine behind, and the engine is reusable
+// afterwards.
+func TestBodyPanicContained(t *testing.T) {
+	e := NewEngine(4)
 	var unwound [4]bool
 	if r := runRecovered(e, panickyBody(e, &unwound)); r != "boom" {
 		t.Fatalf("Run panicked with %v, want the body's own \"boom\"", r)
@@ -461,11 +461,6 @@ func checkBodyPanicContained(t *testing.T, e *Engine) {
 	if finish := e.Run(func(p *Proc) { p.Advance(7); p.Sync() }); finish != 7 {
 		t.Errorf("post-panic run finish = %d, want 7", finish)
 	}
-}
-
-// TestBodyPanicContained pins the body-panic contract on the serial engine.
-func TestBodyPanicContained(t *testing.T) {
-	checkBodyPanicContained(t, NewEngine(4))
 }
 
 // TestStateDumpHasFastPath: the deadlock dump carries the scheduler

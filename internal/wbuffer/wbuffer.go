@@ -23,8 +23,7 @@ var OccupancyBuckets = []uint64{0, 1, 2, 4, 8, 16} //zlint:ignore globalmut immu
 // retires when the protocol-level transaction it represents (ownership
 // acquisition, update fan-out) completes.
 type StoreBuffer struct {
-	cap int
-	//zlint:confine shard a store buffer belongs to one node; only the issuing stream's own node inserts and drains
+	cap     int
 	pending []memsys.Time // completion times, unordered
 
 	// Per-event metric handles (nil unless Instrument was called). Shared
@@ -142,8 +141,7 @@ func (b *StoreBuffer) DrainStall(now memsys.Time) (stall memsys.Time) {
 // lines in FIFO order; inserting a new line into a full buffer evicts the
 // oldest, which the protocol must then send out as an update.
 type MergeBuffer struct {
-	cap int
-	//zlint:confine carrier the FIFO belongs to one node (only its owner inserts and flushes) but carries line addresses, so flush-path writes mix the owner's and the lines' home partitions
+	cap   int
 	lines []memsys.Addr // FIFO, oldest first
 
 	mMerges    *metrics.Counter // writes combined into a merging line

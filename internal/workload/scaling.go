@@ -28,8 +28,8 @@ func (c *ScalingCurve) CurveData() benchrec.Curve { return c.curve }
 // OverheadScaling runs one application on one memory system at each machine
 // size and decomposes execution time into the paper's overhead classes
 // (read stall, write stall, buffer flush) plus synchronization wait. Every
-// cell derives its parameters with base.WithProcs, so topology and kernel
-// sharding carry over — the curve is bit-identical at any shard count.
+// cell derives its parameters with base.WithProcs, so the topology and
+// every other non-size parameter carry over.
 func OverheadScaling(app string, scale Scale, kind memsys.Kind, base memsys.Params, procs []int) (*ScalingCurve, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("workload: OverheadScaling needs at least one machine size")
