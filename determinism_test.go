@@ -11,7 +11,8 @@ import (
 // events must all be bit-identical across repeated runs.
 const traceCap = 4096
 
-// runTraced executes one app on one system with tracing enabled.
+// runTraced executes one app on one system with the trace recorder and the
+// conformance checker attached; a conformance violation is an error.
 func runTraced(name string, kind Kind, params Params) (*Result, uint64, []TraceEvent, error) {
 	app, err := NewBenchmark(name, ScaleSmall)
 	if err != nil {
@@ -22,8 +23,12 @@ func runTraced(name string, kind Kind, params Params) (*Result, uint64, []TraceE
 		return nil, 0, nil, err
 	}
 	rec := m.EnableTrace(traceCap)
+	chk := m.EnableCheck()
 	res, err := RunAppOn(app, m)
 	if err != nil {
+		return nil, 0, nil, err
+	}
+	if err := chk.Err(); err != nil {
 		return nil, 0, nil, err
 	}
 	return res, rec.Total(), rec.Events(), nil
@@ -33,6 +38,10 @@ func runTraced(name string, kind Kind, params Params) (*Result, uint64, []TraceE
 // system: the simulator must be a deterministic function of (app, system,
 // params), so the Results and the trace streams must be identical. This is
 // the regression fence that makes the litmus golden outcomes meaningful.
+// A third run attaches no observer and must give the same Result, so
+// observing a run does not change it; the machine builds trace events only
+// while an observer is attached, and this pins that skipping them changes
+// nothing.
 func TestDeterminism(t *testing.T) {
 	params := DefaultParams(8)
 	for _, name := range Benchmarks() {
@@ -56,6 +65,13 @@ func TestDeterminism(t *testing.T) {
 				}
 				if !reflect.DeepEqual(ev1, ev2) {
 					t.Errorf("trace streams diverged (window of last %d events)", traceCap)
+				}
+				plain, err := RunBenchmark(name, ScaleSmall, kind, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(r1, plain) {
+					t.Errorf("observers changed the result:\n%s\nobserved, vs unobserved\n%s", r1, plain)
 				}
 			})
 		}

@@ -48,6 +48,8 @@ type Machine struct {
 	rec *trace.Recorder
 	// chk, when non-nil, validates memory-model invariants on every event.
 	chk *check.Checker
+	// threads is Params.HWThreads, read per trap without copying Params.
+	threads int
 	// syncIDs numbers the synchronization objects (locks, barriers, flags)
 	// built on this machine, for event attribution.
 	syncIDs int32
@@ -77,6 +79,7 @@ func New(kind memsys.Kind, p memsys.Params) (*Machine, error) {
 		procs:    make([]stats.Proc, p.Procs),
 		coreFree: make([]Time, p.Nodes()),
 		met:      metrics.NewRegistry(),
+		threads:  p.HWThreads,
 	}
 	m.Eng.InstrumentMetrics(m.met)
 	m.Net.InstrumentMetrics(m.met)
@@ -240,7 +243,7 @@ func (e *Env) ID() int { return e.p.ID() }
 
 // NodeID returns the NUMA node this stream's hardware lives on (equal to
 // ID when HWThreads is 1).
-func (e *Env) NodeID() int { return e.m.Params.Node(e.p.ID()) }
+func (e *Env) NodeID() int { return e.p.ID() / e.m.threads }
 
 // NumProcs returns the machine's processor count.
 func (e *Env) NumProcs() int { return e.m.Params.Procs }
@@ -258,10 +261,10 @@ func (e *Env) Clock() Time { return e.p.Clock() }
 // cycles; memory stalls never hold the core, which is what lets a sibling
 // thread's computation hide them.
 func (e *Env) Compute(c Time) {
-	if e.m.Params.HWThreads > 1 {
+	if e.m.threads > 1 {
 		// The core is shared by the node's threads: reserve it in order.
 		e.p.Sync()
-		node := e.m.Params.Node(e.ID())
+		node := e.NodeID()
 		if f := e.m.coreFree[node]; f > e.p.Clock() {
 			e.st.CoreWait += f - e.p.Clock()
 			e.p.AdvanceTo(f)
@@ -280,7 +283,9 @@ func (e *Env) LoadU64(addr memsys.Addr) uint64 {
 	e.st.ReadStall += stall
 	e.p.Advance(stall)
 	v := e.m.values.Load(memsys.WordIndex(addr))
-	e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Read, Addr: addr, Stall: stall, Value: v})
+	if e.m.observed() {
+		e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Read, Addr: addr, Stall: stall, Value: v})
+	}
 	return v
 }
 
@@ -292,7 +297,9 @@ func (e *Env) StoreU64(addr memsys.Addr, v uint64) {
 	e.st.WriteStall += stall
 	e.p.Advance(stall)
 	*e.m.values.At(memsys.WordIndex(addr)) = v
-	e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Write, Addr: addr, Stall: stall, Value: v})
+	if e.m.observed() {
+		e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Write, Addr: addr, Stall: stall, Value: v})
+	}
 }
 
 // AtomicSwapU64 models an atomic exchange (test-and-set class hardware
@@ -312,10 +319,17 @@ func (e *Env) AtomicSwapU64(addr memsys.Addr, v uint64) uint64 {
 	w := e.m.values.At(memsys.WordIndex(addr))
 	old := *w
 	*w = v
-	e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Read, Addr: addr, Stall: rstall, Value: old})
-	e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Write, Addr: addr, Stall: wstall, Value: v})
+	if e.m.observed() {
+		e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Read, Addr: addr, Stall: rstall, Value: old})
+		e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Write, Addr: addr, Stall: wstall, Value: v})
+	}
 	return old
 }
+
+// observed reports whether a trace recorder or a conformance checker is
+// attached. Traps build their trace.Event only then: observation is pure,
+// so skipping it changes no result.
+func (m *Machine) observed() bool { return m.rec != nil || m.chk != nil }
 
 // event offers an event to the trace recorder and the conformance checker
 // (both nil-safe).
@@ -350,8 +364,10 @@ func (e *Env) ReleasePoint() {
 	stall := e.m.Mem.Release(e.ID(), at)
 	e.st.BufferFlush += stall
 	e.p.Advance(stall)
-	e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Release, Stall: stall,
-		Value: uint64(e.ReleaseWatermark())})
+	if e.m.observed() {
+		e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Release, Stall: stall,
+			Value: uint64(e.ReleaseWatermark())})
+	}
 }
 
 // ReleaseWatermark returns the time by which this processor's issued
@@ -373,7 +389,9 @@ func (e *Env) AcquirePoint() {
 	stall := e.m.Mem.Acquire(e.ID(), at)
 	e.st.ReadStall += stall
 	e.p.Advance(stall)
-	e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Acquire, Stall: stall})
+	if e.m.observed() {
+		e.event(trace.Event{At: at, Proc: e.ID(), Kind: trace.Acquire, Stall: stall})
+	}
 }
 
 // RecordSync records a synchronization-object event (lock grant/release,
@@ -381,7 +399,9 @@ func (e *Env) AcquirePoint() {
 // checking. The psync primitives call it; obj ids come from
 // Machine.NewSyncObjID and value is kind-dependent (see trace.Event).
 func (e *Env) RecordSync(kind trace.Kind, obj int32, value uint64) {
-	e.event(trace.Event{At: e.p.Clock(), Proc: e.ID(), Kind: kind, Obj: obj, Value: value})
+	if e.m.observed() {
+		e.event(trace.Event{At: e.p.Clock(), Proc: e.ID(), Kind: kind, Obj: obj, Value: value})
+	}
 }
 
 // AdvanceTo moves the clock forward to t (no-op if already past).

@@ -7,8 +7,8 @@ import (
 	"zsim/internal/memsys"
 )
 
-// Send is called for every protocol message; once its route buffer has
-// grown to the longest route, it must never allocate.
+// Send is called for every protocol message; once its buffer of route runs
+// has grown to the route with the most runs, it must never allocate.
 func TestSendZeroAlloc(t *testing.T) {
 	cases := []struct {
 		topo  string
@@ -30,7 +30,7 @@ func TestSendZeroAlloc(t *testing.T) {
 			last := c.procs - 1
 			var at Time
 			// Warm up over a grid of pairs; AllocsPerRun's own warm-up call
-			// then grows the route buffer to the corner-to-corner routes.
+			// then covers the corner-to-corner routes.
 			step := c.procs / 16
 			for s := 0; s < c.procs; s += step {
 				for d := 0; d < c.procs; d += step {

@@ -26,15 +26,20 @@ type Net struct {
 	topo Topology
 
 	// The link cost, copied out of memsys.Params so that Send does not copy
-	// a whole Params per message.
-	hopLatency    Time
-	cyclesPerByte float64
+	// a whole Params per message. ctrlCycles and dataCycles are the
+	// per-link transfer cycles of a control message (ctrlBytes) and a data
+	// message (dataBytes), the two sizes the protocols send; any other size
+	// is priced on demand.
+	hopLatency             Time
+	cyclesPerByte          float64
+	ctrlBytes, dataBytes   int
+	ctrlCycles, dataCycles Time
 
 	// busy[l] is the time at which link l (a Topology link id) becomes
-	// free. route holds the link ids of the message Send is routing; it is
+	// free. runs holds the route of the message Send is routing; it is
 	// reused across messages under the same serialization as busy.
-	busy  []Time
-	route []int32
+	busy []Time
+	runs []Run
 
 	// Stats.
 	msgs     uint64
@@ -76,12 +81,28 @@ func New(p memsys.Params) *Net {
 	if err != nil {
 		panic(err)
 	}
+	ctrl, data := p.CtrlBytes, p.HeaderBytes+p.LineSize
 	return &Net{
 		topo:          topo,
 		hopLatency:    p.HopLatency,
 		cyclesPerByte: p.LinkCyclesPerByte,
+		ctrlBytes:     ctrl,
+		dataBytes:     data,
+		ctrlCycles:    memsys.LinkTransferCycles(p.LinkCyclesPerByte, ctrl),
+		dataCycles:    memsys.LinkTransferCycles(p.LinkCyclesPerByte, data),
 		busy:          make([]Time, topo.Links()),
 	}
+}
+
+// transfer returns the per-link occupancy of a message of the given size.
+func (n *Net) transfer(bytes int) Time {
+	switch bytes {
+	case n.ctrlBytes:
+		return n.ctrlCycles
+	case n.dataBytes:
+		return n.dataCycles
+	}
+	return memsys.LinkTransferCycles(n.cyclesPerByte, bytes)
 }
 
 // Topology returns the routing topology in use.
@@ -104,24 +125,30 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 	}
 	n.msgs++
 	n.bytes += uint64(bytes)
-	n.route = n.topo.Route(n.route[:0], src, dst)
-	if n.mHops != nil && metrics.Enabled() {
-		n.mHops.Observe(uint64(len(n.route)))
-	}
-	transfer := memsys.LinkTransferCycles(n.cyclesPerByte, bytes)
+	n.runs = n.topo.Route(n.runs[:0], src, dst)
+	transfer, hop, busy := n.transfer(bytes), n.hopLatency, n.busy
 	var queued Time
+	var hops int32
 	t := start
-	for _, l := range n.route {
-		begin := t + n.hopLatency
-		if b := n.busy[l]; b > begin {
-			queued += b - begin
-			begin = b
+	for _, r := range n.runs {
+		l := r.First
+		for k := r.Len; k > 0; k-- {
+			begin := t + hop
+			if b := busy[l]; b > begin {
+				queued += b - begin
+				begin = b
+			}
+			t = begin + transfer
+			busy[l] = t
+			l += r.Stride
 		}
-		t = begin + transfer
-		n.busy[l] = t
+		hops += r.Len
+	}
+	if n.mHops != nil && metrics.Enabled() {
+		n.mHops.Observe(uint64(hops))
 	}
 	n.queueing += queued
-	n.occupied += transfer * Time(len(n.route))
+	n.occupied += transfer * Time(hops)
 	return t
 }
 
@@ -129,24 +156,20 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 // network — the z-machine's propagation delay L, determined only by the
 // link bandwidth (paper §2.2: no contention in the z-machine).
 func (n *Net) UncontendedLatency(src, dst, bytes int) Time {
-	if src == dst {
-		return 0
-	}
-	transfer := memsys.LinkTransferCycles(n.cyclesPerByte, bytes)
-	return Time(n.Hops(src, dst)) * (n.hopLatency + transfer)
+	return Time(n.Hops(src, dst)) * (n.hopLatency + n.transfer(bytes))
 }
 
 // MaxUncontendedLatency returns the worst-case uncontended latency from src
 // to any node — the propagation bound used by the z-machine's availability
 // counter when the oracle ships a datum to every consumer.
 func (n *Net) MaxUncontendedLatency(src, bytes int) Time {
-	var max Time
+	var max int
 	for d := 0; d < n.topo.Nodes(); d++ {
-		if l := n.UncontendedLatency(src, d, bytes); l > max {
-			max = l
+		if h := n.Hops(src, d); h > max {
+			max = h
 		}
 	}
-	return max
+	return Time(max) * (n.hopLatency + n.transfer(bytes))
 }
 
 // Messages returns the number of messages injected.

@@ -187,14 +187,22 @@ func TestStatsAccumulate(t *testing.T) {
 
 // BenchmarkSend times one control message between random distinct nodes on
 // the 4×4 mesh, the 8×8 mesh (the shape of zbench's coherence workload) and
-// the 32×32 mesh (its manycore workload's).
+// the 32×32 mesh (its manycore workload's). Each message starts when the
+// last one arrived, so none of these queues.
+//
+// fanout/8x8 is one write-update transaction of the kind that dominates
+// coherence's traffic (upd.updateTxn): a home sends a data message to
+// every other node of the 8×8 mesh at the same start time and each node
+// acks with a control message, so the fan-out and the acks contend on the
+// links around the home. Its ns/op is per message.
 func BenchmarkSend(b *testing.B) {
 	for _, procs := range []int{16, 64, 1024} {
 		p := memsys.Default(procs)
 		b.Run(fmt.Sprintf("%dx%d", p.MeshW, p.MeshH), func(b *testing.B) {
 			n := New(p)
 			rng := rand.New(rand.NewSource(1))
-			src, dst := make([]int, 1024), make([]int, 1024)
+			const pairs = 1024 // a power of two: i&(pairs-1) picks a pair
+			src, dst := make([]int, pairs), make([]int, pairs)
 			for i := range src {
 				src[i] = rng.Intn(procs)
 				dst[i] = (src[i] + 1 + rng.Intn(procs-1)) % procs
@@ -203,9 +211,32 @@ func BenchmarkSend(b *testing.B) {
 			b.ResetTimer()
 			var t Time
 			for i := 0; i < b.N; i++ {
-				j := i % len(src)
+				j := i & (pairs - 1)
 				t = n.Send(src[j], dst[j], p.CtrlBytes, t)
 			}
 		})
 	}
+	b.Run("fanout/8x8", func(b *testing.B) {
+		p := memsys.Default(64)
+		n := New(p)
+		nodes := p.Nodes()
+		data := p.HeaderBytes + p.LineSize
+		b.ReportAllocs()
+		b.ResetTimer()
+		var t Time
+		for i, home := 0, 0; i < b.N; home = (home + 1) & (nodes - 1) {
+			acks := t
+			for s := 0; s < nodes && i < b.N; s++ {
+				if s == home {
+					continue
+				}
+				at := n.Send(home, s, data, t)
+				if ack := n.Send(s, home, p.CtrlBytes, at); ack > acks {
+					acks = ack
+				}
+				i += 2
+			}
+			t = acks
+		}
+	})
 }

@@ -14,10 +14,10 @@ import (
 //
 // Every topology numbers its links densely in [0, Links()), so Net keeps
 // one busy-until slot per link. Route, the per-message hot path, computes
-// the whole route once into a caller-owned buffer of link ids. NextHop is
-// the readable routing specification: Route visits the same links in the
-// same order (TestRouteMatchesNextHop), and Path builds on NextHop for
-// tests and debugging.
+// the whole route once, as a few strided runs of link ids, into a
+// caller-owned buffer. NextHop is the readable routing specification:
+// Route visits the same links in the same order (TestRouteMatchesNextHop),
+// and Path builds on NextHop for tests and debugging.
 type Topology interface {
 	// Name identifies the topology.
 	Name() string
@@ -26,16 +26,25 @@ type Topology interface {
 	// Links returns the number of link slots; every link id Route returns
 	// lies in [0, Links()).
 	Links() int
-	// Route appends to links the id of every link on the route from src to
-	// dst, in order, and returns the extended slice. It appends nothing
-	// when src == dst.
-	Route(links []int32, src, dst int) []int32
+	// Route appends to runs the links of the route from src to dst, in
+	// order, as non-empty runs, and returns the extended slice. It appends
+	// nothing when src == dst.
+	Route(runs []Run, src, dst int) []Run
 	// NextHop returns the node adjacent to cur on the route toward dst
 	// (dimension-order routing), or cur itself when cur == dst.
 	NextHop(cur, dst int) int
 	// Hops returns the routing hop count from src to dst, computed
 	// arithmetically without walking the route.
 	Hops(src, dst int) int
+}
+
+// Run is a stretch of a route that crosses Len links whose ids step by
+// Stride: First, First+Stride, ..., First+(Len-1)*Stride. The links of a
+// grid leg sit a fixed id distance apart, so a leg is one run unless it
+// wraps around a torus. The hypercube, crossbar and bus build one-link
+// runs with Stride 0.
+type Run struct {
+	First, Stride, Len int32
 }
 
 // Path returns the nodes visited from src to dst, inclusive, by walking
@@ -61,9 +70,9 @@ func NewTopology(name string, w, h int) (Topology, error) {
 	n := w * h
 	switch name {
 	case "", "mesh":
-		return &gridTopo{w: w, h: h, wrap: false}, nil
+		return newGrid(w, h, false), nil
 	case "torus":
-		return &gridTopo{w: w, h: h, wrap: true}, nil
+		return newGrid(w, h, true), nil
 	case "hypercube":
 		if n&(n-1) != 0 {
 			return nil, fmt.Errorf("mesh: hypercube needs a power-of-two node count, got %d", n)
@@ -83,6 +92,21 @@ func NewTopology(name string, w, h int) (Topology, error) {
 type gridTopo struct {
 	w, h int
 	wrap bool
+	// xy[v] holds node v's coordinates, so that routing an endpoint
+	// divides by nothing.
+	xy []gridXY
+}
+
+type gridXY struct{ x, y int32 }
+
+func newGrid(w, h int, wrap bool) *gridTopo {
+	g := &gridTopo{w: w, h: h, wrap: wrap, xy: make([]gridXY, 0, w*h)}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			g.xy = append(g.xy, gridXY{int32(x), int32(y)})
+		}
+	}
+	return g
 }
 
 // The link leaving grid node v in direction d has id v*gridDirs + d. A
@@ -125,70 +149,70 @@ func (g *gridTopo) step(c, t, n int) int {
 	return c - 1
 }
 
-// leg returns the hop count from c to t along a dimension of size n (the
-// shorter way around on a torus) and whether the route runs toward
-// increasing coordinates. It applies step's tie rule: when both ways
-// around a torus are equally long, the increasing way wins.
-func (g *gridTopo) leg(c, t, n int) (hops int, up bool) {
+// disp returns the signed hop count from coordinate c to t along a
+// dimension of size n: positive when the route runs toward increasing
+// coordinates. On a torus it takes the shorter way around, with step's tie
+// rule: when both ways are equally long, the increasing way wins.
+func (g *gridTopo) disp(c, t, n int32) int32 {
 	d := t - c
 	if !g.wrap {
-		if d < 0 {
-			return -d, false
-		}
-		return d, true
+		return d
 	}
 	if d < 0 {
 		d += n
 	}
-	if b := n - d; b < d {
-		return b, false
+	if n-d < d {
+		return d - n
 	}
-	return d, true
+	return d
 }
 
-// walk appends the links of the leg from coordinate c to t along one
-// dimension of size n. slot is the id of the first link of the node the
-// leg starts at, stride the id distance between neighbours along the
-// dimension, and up the direction index of the increasing link (the
-// decreasing one is up+1). It returns the extended links and the first
-// link id of the node the leg ends at. step picks the same direction at
-// every hop of a leg, so leg decides it once; each hop then steps by one
-// and wraps with a compare.
-func (g *gridTopo) walk(links []int32, slot, c, t, n, stride, up int) ([]int32, int) {
-	hops, inc := g.leg(c, t, n)
-	if inc {
-		for ; hops > 0; hops-- {
-			links = append(links, int32(slot+up))
-			if c++; c == n {
-				c, slot = 0, slot-(n-1)*stride
-			} else {
-				slot += stride
-			}
-		}
-		return links, slot
+// leg returns the runs of a leg of disp hops (negative: toward decreasing
+// coordinates) from coordinate c along a dimension of size n. up is the id
+// of the increasing link of the node the leg starts at (the decreasing one
+// is up+1), and stride the id distance between neighbours along the
+// dimension. step picks the same direction at every hop of a leg, so the
+// leg is one run, unless it crosses a torus's wrap-around link: then it
+// splits in two at the edge, and b, the part past the wrap, starts n nodes
+// back from where a would go on, at the opposite edge. b.Len is 0 when the
+// leg does not wrap, and a.Len is 0 when disp is.
+func leg(up, stride, disp, c, n int32) (a, b Run) {
+	a, room := Run{up, stride, disp}, n-c
+	if disp < 0 {
+		a, room = Run{up + 1, -stride, -disp}, c+1
 	}
-	for ; hops > 0; hops-- {
-		links = append(links, int32(slot+up+1))
-		if c == 0 {
-			c, slot = n-1, slot+(n-1)*stride
-		} else {
-			c, slot = c-1, slot-stride
-		}
+	if a.Len > room {
+		b = Run{a.First + (room-n)*a.Stride, a.Stride, a.Len - room}
+		a.Len = room
 	}
-	return links, slot
+	return a, b
 }
 
-// route appends the XY route from src to dst with every link id offset by
-// base. The endpoints' coordinates are the only divisions.
-func (g *gridTopo) route(links []int32, src, dst, base int) []int32 {
-	slot := base + src*gridDirs
-	links, slot = g.walk(links, slot, src%g.w, dst%g.w, g.w, gridDirs, linkXPlus)
-	links, _ = g.walk(links, slot, src/g.w, dst/g.w, g.h, g.w*gridDirs, linkYPlus)
-	return links
-}
-
-func (g *gridTopo) Route(links []int32, src, dst int) []int32 {
-	return g.route(links, src, dst, 0)
+// Route appends the XY route from src to dst: at most one run per
+// dimension, picked by the sign of the displacement, except that a torus
+// leg that wraps splits in two. The endpoints' coordinates come from the
+// table, so no division is left, and both legs are computed in this one
+// call.
+func (g *gridTopo) Route(runs []Run, src, dst int) []Run {
+	s, d := g.xy[src], g.xy[dst]
+	w, h := int32(g.w), int32(g.h)
+	slot := int32(src) * gridDirs
+	xa, xb := leg(slot+linkXPlus, gridDirs, g.disp(s.x, d.x, w), s.x, w)
+	slot += (d.x - s.x) * gridDirs // the turn node, (d.x, s.y)
+	ya, yb := leg(slot+linkYPlus, w*gridDirs, g.disp(s.y, d.y, h), s.y, h)
+	if xa.Len > 0 {
+		runs = append(runs, xa)
+	}
+	if xb.Len > 0 {
+		runs = append(runs, xb)
+	}
+	if ya.Len > 0 {
+		runs = append(runs, ya)
+	}
+	if yb.Len > 0 {
+		runs = append(runs, yb)
+	}
+	return runs
 }
 
 func (g *gridTopo) NextHop(cur, dst int) int {
@@ -204,9 +228,15 @@ func (g *gridTopo) NextHop(cur, dst int) int {
 }
 
 func (g *gridTopo) Hops(src, dst int) int {
-	hx, _ := g.leg(src%g.w, dst%g.w, g.w)
-	hy, _ := g.leg(src/g.w, dst/g.w, g.h)
-	return hx + hy
+	s, d := g.xy[src], g.xy[dst]
+	return int(abs(g.disp(s.x, d.x, int32(g.w))) + abs(g.disp(s.y, d.y, int32(g.h))))
+}
+
+func abs(v int32) int32 {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // cubeTopo is a hypercube with dimension-order (bit-fixing) routing. The
@@ -217,14 +247,16 @@ func (c *cubeTopo) Name() string { return "hypercube" }
 func (c *cubeTopo) Nodes() int   { return c.n }
 func (c *cubeTopo) Links() int   { return c.n * c.Dim() }
 
-func (c *cubeTopo) Route(links []int32, src, dst int) []int32 {
+// Route returns one run per differing bit: consecutive hops leave
+// different nodes across different dimensions, so no stride links them.
+func (c *cubeTopo) Route(runs []Run, src, dst int) []Run {
 	dim := c.Dim()
 	for diff := src ^ dst; diff != 0; diff &= diff - 1 {
 		b := bits.TrailingZeros(uint(diff))
-		links = append(links, int32(src*dim+b))
+		runs = append(runs, Run{First: int32(src*dim + b), Len: 1})
 		src ^= 1 << b
 	}
-	return links
+	return runs
 }
 
 func (c *cubeTopo) NextHop(cur, dst int) int {
@@ -258,8 +290,8 @@ func (c *cubeTopo) Dim() int { return bits.TrailingZeros(uint(c.n)) }
 // Link ids: every cluster's intra-cluster mesh slots in cluster order (so
 // node v's links start at v*4), then the cluster mesh's gateway slots.
 type hierTopo struct {
-	intra gridTopo // the 4×4 cluster mesh
-	inter gridTopo // the cw×ch mesh of clusters
+	intra *gridTopo // the 4×4 cluster mesh
+	inter *gridTopo // the cw×ch mesh of clusters
 }
 
 func newHierTopo(n int) (*hierTopo, error) {
@@ -275,8 +307,8 @@ func newHierTopo(n int) (*hierTopo, error) {
 		}
 	}
 	return &hierTopo{
-		intra: gridTopo{w: 4, h: 4},
-		inter: gridTopo{w: clusters / best, h: best},
+		intra: newGrid(4, 4, false),
+		inter: newGrid(clusters/best, best, false),
 	}, nil
 }
 
@@ -287,16 +319,28 @@ func (t *hierTopo) Links() int   { return t.inter.Nodes()*t.intra.Links() + t.in
 // Clusters returns the cluster-level mesh dimensions.
 func (t *hierTopo) Clusters() (w, h int) { return t.inter.w, t.inter.h }
 
-func (t *hierTopo) Route(links []int32, src, dst int) []int32 {
-	cn, per := t.intra.Nodes(), t.intra.Links()
+// Route composes up to three grid legs: to the source gateway, across the
+// cluster mesh, and out from the destination gateway.
+func (t *hierTopo) Route(runs []Run, src, dst int) []Run {
+	cn, per := t.intra.Nodes(), int32(t.intra.Links())
 	sc, sl := src/cn, src%cn
 	dc, dl := dst/cn, dst%cn
 	if sc == dc {
-		return t.intra.route(links, sl, dl, sc*per)
+		return via(runs, t.intra, sl, dl, int32(sc)*per)
 	}
-	links = t.intra.route(links, sl, 0, sc*per)
-	links = t.inter.route(links, sc, dc, t.inter.Nodes()*per)
-	return t.intra.route(links, 0, dl, dc*per)
+	runs = via(runs, t.intra, sl, 0, int32(sc)*per)
+	runs = via(runs, t.inter, sc, dc, int32(t.inter.Nodes())*per)
+	return via(runs, t.intra, 0, dl, int32(dc)*per)
+}
+
+// via appends g's route from src to dst with every link id offset by base.
+func via(runs []Run, g *gridTopo, src, dst int, base int32) []Run {
+	from := len(runs)
+	runs = g.Route(runs, src, dst)
+	for i := from; i < len(runs); i++ {
+		runs[i].First += base
+	}
+	return runs
 }
 
 func (t *hierTopo) NextHop(cur, dst int) int {
@@ -348,14 +392,14 @@ func (d *directTopo) Links() int {
 	return d.n * d.n
 }
 
-func (d *directTopo) Route(links []int32, src, dst int) []int32 {
+func (d *directTopo) Route(runs []Run, src, dst int) []Run {
 	switch {
 	case src == dst:
-		return links
+		return runs
 	case d.shared:
-		return append(links, 0)
+		return append(runs, Run{Len: 1})
 	}
-	return append(links, int32(src*d.n+dst))
+	return append(runs, Run{First: int32(src*d.n + dst), Len: 1})
 }
 
 func (d *directTopo) NextHop(cur, dst int) int { return dst }

@@ -275,15 +275,18 @@ func TestWideMeshHops(t *testing.T) {
 }
 
 // TestRouteMatchesNextHop pins Route to the NextHop specification. For
-// every pair the route has Hops links, every id lies in [0, Links()), and
-// the map from each NextHop step (cur, next) to the Route id at the same
-// position is a bijection across all pairs: two messages share a link slot
-// exactly when their NextHop walks share a link, so contention is the same
-// as stepping hop by hop. On the bus every step crosses the one shared
-// medium. Every topology is covered exhaustively at 16 and 64 nodes (and
-// the torus where a dimension has size 2, the only shape on which its tie
-// rule chooses between two links to the same neighbour); the many-core
-// shapes on a strided sample of pairs.
+// every pair the route's runs are non-empty and expand to Hops link ids,
+// every id lies in [0, Links()), and the map from each NextHop step
+// (cur, next) to the expanded id at the same position is a bijection
+// across all pairs: two messages share a link slot exactly when their
+// NextHop walks share a link, so contention is the same as stepping hop
+// by hop. On the bus every step crosses the one shared medium. A mesh
+// route is at most one run per dimension, X before Y. Every topology is
+// covered exhaustively at 16 and 64 nodes, as is the torus on shapes
+// where its legs wrap differently: a dimension of size 2, the only one on
+// which its tie rule chooses between two links to the same neighbour, and
+// odd sides (5×3, 7×6), where a wrapping leg splits without a tie. The
+// many-core shapes are covered on a strided sample of pairs.
 func TestRouteMatchesNextHop(t *testing.T) {
 	type shape struct {
 		topo   string
@@ -295,7 +298,9 @@ func TestRouteMatchesNextHop(t *testing.T) {
 		shapes = append(shapes, shape{name, 4, 4, 1}, shape{name, 8, 8, 1})
 	}
 	shapes = append(shapes, shape{"torus", 4, 2, 1}, shape{"torus", 2, 1, 1},
-		shape{"mesh", 16, 16, 7}, shape{"mesh", 32, 32, 29}, shape{"hier", 16, 16, 7})
+		shape{"torus", 5, 3, 1}, shape{"torus", 7, 6, 1},
+		shape{"mesh", 16, 16, 7}, shape{"mesh", 32, 32, 29}, shape{"torus", 32, 32, 29},
+		shape{"hier", 16, 16, 7})
 	for _, sh := range shapes {
 		topo, err := NewTopology(sh.topo, sh.w, sh.h)
 		if err != nil {
@@ -304,10 +309,23 @@ func TestRouteMatchesNextHop(t *testing.T) {
 		name, n := fmt.Sprintf("%s %dx%d", sh.topo, sh.w, sh.h), topo.Nodes()
 		slotOf := map[[2]int]int32{} // NextHop step → link id
 		stepOf := map[int32][2]int{} // link id → NextHop step
+		var runs []Run
 		var route []int32
 		for s := 0; s < n; s += sh.stride {
 			for d := n - 1; d >= 0; d -= sh.stride {
-				route = topo.Route(route[:0], s, d)
+				runs = topo.Route(runs[:0], s, d)
+				route = route[:0]
+				for _, r := range runs {
+					if r.Len <= 0 {
+						t.Fatalf("%s: Route(%d,%d) %v has an empty run", name, s, d, runs)
+					}
+					for k, l := int32(0), r.First; k < r.Len; k, l = k+1, l+r.Stride {
+						route = append(route, l)
+					}
+				}
+				if sh.topo == "mesh" {
+					checkMeshRuns(t, name, sh.w, s, d, runs)
+				}
 				if len(route) != topo.Hops(s, d) {
 					t.Fatalf("%s: Route(%d,%d) has %d links, Hops says %d", name, s, d, len(route), topo.Hops(s, d))
 				}
@@ -337,6 +355,31 @@ func TestRouteMatchesNextHop(t *testing.T) {
 					t.Fatalf("%s: Route(%d,%d) %v runs past the NextHop walk", name, s, d, route)
 				}
 			}
+		}
+	}
+}
+
+// checkMeshRuns requires a w-wide mesh route from s to d to be at most one
+// run per dimension, X before Y, each crossing the leg's whole
+// displacement one node (X) or one row (Y) per link.
+func checkMeshRuns(t *testing.T, name string, w, s, d int, runs []Run) {
+	t.Helper()
+	var want []Run
+	for _, dim := range [][2]int{{d%w - s%w, gridDirs}, {d/w - s/w, w * gridDirs}} {
+		disp, stride := dim[0], dim[1]
+		if disp < 0 {
+			disp, stride = -disp, -stride
+		}
+		if disp > 0 {
+			want = append(want, Run{Stride: int32(stride), Len: int32(disp)})
+		}
+	}
+	if len(runs) != len(want) {
+		t.Fatalf("%s: Route(%d,%d) is %d runs %v, want %d", name, s, d, len(runs), runs, len(want))
+	}
+	for i, r := range runs {
+		if r.Stride != want[i].Stride || r.Len != want[i].Len {
+			t.Fatalf("%s: Route(%d,%d) run %d is %+v, want stride %d length %d", name, s, d, i, r, want[i].Stride, want[i].Len)
 		}
 	}
 }

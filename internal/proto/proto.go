@@ -75,17 +75,23 @@ type base struct {
 	// miss, so the lookup must not hash or allocate.
 	seen []memsys.Paged[bool]
 	ctr  *memsys.Counters
+
+	// nodes and threads are p.Nodes() and p.HWThreads, kept as plain ints
+	// so that the per-access node and home mapping does not copy p.
+	nodes, threads int
 }
 
 func newBase(p memsys.Params, net *mesh.Net) base {
 	nodes := p.Nodes()
 	b := base{
-		p:      p,
-		net:    net,
-		dir:    directory.New(nodes, p.LineSize),
-		caches: make([]cache.Cache, nodes),
-		seen:   make([]memsys.Paged[bool], nodes),
-		ctr:    memsys.NewCounters(p.Procs),
+		p:       p,
+		net:     net,
+		dir:     directory.New(nodes, p.LineSize),
+		caches:  make([]cache.Cache, nodes),
+		seen:    make([]memsys.Paged[bool], nodes),
+		ctr:     memsys.NewCounters(p.Procs),
+		nodes:   nodes,
+		threads: p.HWThreads,
 	}
 	for i := range b.caches {
 		if p.FiniteCache {
@@ -130,10 +136,10 @@ func (b *base) PublishMetrics(r *metrics.Registry) {
 
 func (b *base) line(addr memsys.Addr) memsys.Addr { return memsys.Line(addr, b.p.LineSize) }
 
-func (b *base) home(line memsys.Addr) int { return int(line % memsys.Addr(b.p.Nodes())) }
+func (b *base) home(line memsys.Addr) int { return int(line % memsys.Addr(b.nodes)) }
 
 // node maps an execution stream to the NUMA node whose hardware it uses.
-func (b *base) node(p int) int { return b.p.Node(p) }
+func (b *base) node(p int) int { return p / b.threads }
 
 // ctrl models a control message (request, invalidation, ack).
 func (b *base) ctrl(src, dst int, t Time) Time {

@@ -47,6 +47,7 @@ type zmc struct {
 	maxLat  []Time
 	perfect bool
 	ctr     *memsys.Counters
+	threads int // p.HWThreads, so that node does not copy p per access
 }
 
 func newZMachine(p memsys.Params, net *mesh.Net) *zmc {
@@ -57,12 +58,16 @@ func newZMachine(p memsys.Params, net *mesh.Net) *zmc {
 		maxLat:  make([]Time, p.Nodes()),
 		perfect: p.ZOracle == "perfect",
 		ctr:     memsys.NewCounters(p.Procs),
+		threads: p.HWThreads,
 	}
 	for src := range z.maxLat {
 		z.maxLat[src] = net.MaxUncontendedLatency(src, p.ZLineSize)
 	}
 	return z
 }
+
+// node maps an execution stream to the NUMA node whose hardware it uses.
+func (z *zmc) node(p int) int { return p / z.threads }
 
 func (z *zmc) Name() memsys.Kind          { return memsys.KindZMachine }
 func (z *zmc) Counters() *memsys.Counters { return z.ctr.Fold() }
@@ -85,7 +90,7 @@ func (z *zmc) lines(addr memsys.Addr, size int, f func(line memsys.Addr)) {
 
 func (z *zmc) Write(p int, addr memsys.Addr, size int, now Time) Time {
 	z.ctr.CountWrite(p)
-	n := z.p.Node(p)
+	n := z.node(p)
 	// The oracle ships the datum to the consumers; the producer proceeds
 	// immediately. Propagation completes within the worst-case uncontended
 	// latency from the producer.
@@ -116,7 +121,7 @@ func (z *zmc) Write(p int, addr memsys.Addr, size int, now Time) Time {
 
 func (z *zmc) Read(p int, addr memsys.Addr, size int, now Time) Time {
 	z.ctr.CountRead(p)
-	n := z.p.Node(p)
+	n := z.node(p)
 	var stall Time
 	z.lines(addr, size, func(line memsys.Addr) {
 		e, ok := z.dir.Lookup(line * memsys.Addr(z.p.ZLineSize))
