@@ -14,6 +14,7 @@
 //	paperbench -claims              # machine-check the paper's claims
 //	paperbench -svg DIR             # also write figures as SVG
 //	paperbench -csv | -md           # CSV or markdown tables
+//	paperbench -exp S2 -metrics     # one experiment plus its metric snapshot
 package main
 
 import (
@@ -24,10 +25,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"zsim"
-	"zsim/internal/benchrec"
 	"zsim/internal/prof"
 )
 
@@ -47,8 +46,7 @@ func main() {
 		matrix   = flag.Bool("matrix", false, "print the overhead%% matrix: every app on every system")
 		conf     = flag.Bool("conformance", false, "run every app on every system with the conformance checker")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "max simulations run concurrently (1 = serial; output is identical at any setting)")
-		benchOut = flag.String("bench-json", "", "with the full regeneration: write a machine-readable timing/throughput record (BENCH_*.json) to this path")
-		withMet  = flag.Bool("metrics", false, "collect and print the global metrics snapshot (implied by -bench-json)")
+		withMet  = flag.Bool("metrics", false, "collect and print the global metrics snapshot")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (post-GC snapshot) to this file on exit")
 	)
@@ -65,7 +63,7 @@ func main() {
 		}
 	}()
 
-	if *withMet || *benchOut != "" {
+	if *withMet {
 		zsim.EnableMetrics(true)
 		zsim.ResetGlobalMetrics()
 	}
@@ -88,6 +86,11 @@ func main() {
 		Render() string
 		Markdown() string
 	}) {
+		if t, ok := art.(*zsim.Table); ok {
+			emitTable(t)
+			return
+		}
+		// Figures have no CSV form.
 		if *md {
 			fmt.Print(art.Markdown())
 		} else {
@@ -107,22 +110,19 @@ func main() {
 		return allOK
 	}
 
+	ok := true
 	switch {
 	case *conf:
 		t, pass, err := zsim.ConformanceSweep(sc, params)
 		check(err)
 		emitTable(t)
-		if !pass {
-			os.Exit(1)
-		}
+		ok = pass
 	case *matrix:
 		t, err := zsim.SummaryMatrix(sc, params)
 		check(err)
 		emitTable(t)
 	case *claims:
-		if !runClaims() {
-			os.Exit(1)
-		}
+		ok = runClaims()
 	case *list:
 		for _, e := range zsim.Experiments() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
@@ -133,33 +133,9 @@ func main() {
 	case *expID != "":
 		e, err := zsim.FindExperimentScaled(*expID, scalingProcs)
 		check(err)
-		expStart := time.Now()
 		art, err := e.Run(sc, params)
 		check(err)
 		emitArtifact(e.ID, art)
-		if *benchOut != "" {
-			rec := benchrec.Record{
-				Scale:      *scale,
-				Procs:      *procs,
-				Parallel:   *parallel,
-				GOMAXPROCS: runtime.GOMAXPROCS(0),
-				NumCPU:     runtime.NumCPU(),
-				Experiments: []benchrec.Entry{
-					{ID: e.ID, Title: e.Title, WallMS: msSince(expStart)},
-				},
-			}
-			rec.TotalWallMS = rec.Experiments[0].WallMS
-			if c, ok := art.(interface{ CurveData() benchrec.Curve }); ok {
-				rec.Curves = append(rec.Curves, c.CurveData())
-			}
-			if zsim.MetricsEnabled() {
-				snap := zsim.GlobalMetrics()
-				rec.Metrics = &snap
-			}
-			rec.Timestamp = time.Now().UTC().Format(time.RFC3339)
-			check(rec.Write(*benchOut))
-			fmt.Printf("wrote %s (%s, %.0f ms)\n", *benchOut, e.ID, rec.TotalWallMS)
-		}
 	case *fig != 0:
 		f, err := zsim.PaperFigure(*fig, sc, params)
 		check(err)
@@ -170,52 +146,23 @@ func main() {
 		emitTable(t)
 	default:
 		// The complete regeneration: every indexed experiment, then the
-		// machine-checked claim verdicts. With -bench-json, each phase is
-		// timed and the throughput record written for the perf trajectory.
-		rec := benchrec.Record{
-			Scale:      *scale,
-			Procs:      *procs,
-			Parallel:   *parallel,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			NumCPU:     runtime.NumCPU(),
-		}
-		start := time.Now()
+		// machine-checked claim verdicts.
 		for _, e := range zsim.Experiments() {
 			fmt.Printf("--- %s: %s ---\n", e.ID, e.Title)
-			expStart := time.Now()
 			art, err := e.Run(sc, params)
 			check(err)
-			rec.Experiments = append(rec.Experiments, benchrec.Entry{
-				ID: e.ID, Title: e.Title, WallMS: msSince(expStart),
-			})
 			emitArtifact(e.ID, art)
 		}
-		claimsStart := time.Now()
-		ok := runClaims()
-		rec.ClaimsWallMS = msSince(claimsStart)
-		rec.TotalWallMS = msSince(start)
-		if rec.TotalWallMS > 0 {
-			rec.ExperimentsPerSec = float64(len(rec.Experiments)) / (rec.TotalWallMS / 1000)
-		}
-		if zsim.MetricsEnabled() {
-			snap := zsim.GlobalMetrics()
-			rec.Metrics = &snap
-			fmt.Println("--- metrics ---")
-			fmt.Print(snap.String())
-		}
-		if *benchOut != "" {
-			rec.Timestamp = time.Now().UTC().Format(time.RFC3339)
-			check(rec.Write(*benchOut))
-			fmt.Printf("wrote %s (%d experiments, %.0f ms total, %.2f experiments/s at -parallel %d)\n",
-				*benchOut, len(rec.Experiments), rec.TotalWallMS, rec.ExperimentsPerSec, *parallel)
-		}
-		if !ok {
-			os.Exit(1)
-		}
+		ok = runClaims()
+	}
+	if *withMet {
+		fmt.Println("--- metrics ---")
+		fmt.Print(zsim.GlobalMetrics().String())
+	}
+	if !ok {
+		os.Exit(1)
 	}
 }
-
-func msSince(t time.Time) float64 { return float64(time.Since(t).Microseconds()) / 1000 }
 
 // parseProcsList parses a comma-separated machine-size list ("64,256"); an
 // empty string selects the workload package's defaults (nil).

@@ -9,8 +9,8 @@ import (
 // ErrDrop flags call statements that silently discard an error result —
 // a bare `f()` expression statement (or `defer f()` / `go f()`) where f
 // returns an error nobody looks at. A dropped error in the experiment
-// pipeline means a truncated BENCH record or a half-written profile that
-// the benchdiff gate then compares in good faith. Assigning the error to
+// pipeline means a half-written profile or SVG that is then read in good
+// faith. Assigning the error to
 // the blank identifier (`_ = f()`) is allowed: it is a visible, greppable
 // statement of intent, unlike a bare call that merely looks complete.
 //

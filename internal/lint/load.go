@@ -18,9 +18,9 @@ import (
 // behave bit-identically across runs, hosts, and -parallel settings,
 // because the paper's overhead decomposition is only trustworthy if the
 // golden outputs are byte-stable. Host-side packages (runner, prof,
-// benchrec, metrics, workload, ...) are deliberately absent: they may read
-// wall-clock time and tolerate scheduling nondeterminism, as long as they
-// never feed it back into simulated state.
+// metrics, workload, ...) are deliberately absent: they may read wall-clock
+// time and tolerate scheduling nondeterminism, as long as they never feed
+// it back into simulated state.
 var zoneDirs = []string{
 	"sim", "proto", "machine", "cache", "directory", "mesh",
 	"wbuffer", "shm", "psync", "check", "trace", "stats",

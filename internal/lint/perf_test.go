@@ -40,8 +40,8 @@ func TestLintTimeBudget(t *testing.T) {
 }
 
 // BenchmarkZlintModule measures the full analysis suite over the whole
-// module (packages pre-loaded). Track it with benchdiff when touching the
-// lint engine.
+// module (packages pre-loaded). Run it on both sides of a lint-engine
+// change: `go test -run '^$' -bench ZlintModule -count 10 ./internal/lint`.
 func BenchmarkZlintModule(b *testing.B) {
 	pkgs := loadModule(b)
 	b.ResetTimer()

@@ -10,8 +10,8 @@ import (
 // virtual clock; a time.Now (or a draw from math/rand's shared global
 // source) inside that domain makes results depend on the host scheduler,
 // which is exactly the nondeterminism the fault-injection experiments must
-// not contain. Host-side packages (runner, prof, benchrec, metrics, ...)
-// are outside the zone and may time themselves freely.
+// not contain. Host-side packages (runner, prof, metrics, ...) are outside
+// the zone and may time themselves freely.
 //
 // Seeded generators are fine: rand.New(rand.NewSource(seed)) is
 // deterministic and is how the litmus generator derives programs. Only the

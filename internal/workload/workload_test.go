@@ -728,7 +728,8 @@ func TestSummaryMatrix(t *testing.T) {
 
 // TestScalingExperimentsRegistry pins the S family's shape and its
 // deliberate separation from the default regeneration index: folding S1..S4
-// into Experiments() would change the metric totals CI's bench gate pins.
+// into Experiments() would change the metric totals the regeneration golden
+// pins.
 func TestScalingExperimentsRegistry(t *testing.T) {
 	exps := ScalingExperiments(nil)
 	if len(exps) != len(AppNames()) {
@@ -762,30 +763,26 @@ func TestScalingExperimentsRegistry(t *testing.T) {
 	}
 }
 
-// TestOverheadScaling runs the curve builder at tiny machine sizes and pins
-// the artifact's two faces: the rendered table and the machine-readable
-// curve.
+// TestOverheadScaling runs the table builder at tiny machine sizes and pins
+// one row per size, each naming its processor count and a non-zero
+// execution time.
 func TestOverheadScaling(t *testing.T) {
 	procs := []int{2, 4}
 	base := memsys.Default(2)
-	c, err := OverheadScaling("is", ScaleSmall, memsys.KindRCInv, base, procs)
+	tab, err := OverheadScaling("is", ScaleSmall, memsys.KindRCInv, base, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Table.Rows) != len(procs) {
-		t.Fatalf("table has %d rows, want %d", len(c.Table.Rows), len(procs))
+	if len(tab.Rows) != len(procs) {
+		t.Fatalf("table has %d rows, want %d", len(tab.Rows), len(procs))
 	}
-	cv := c.CurveData()
-	if cv.App != "is" || cv.System != string(memsys.KindRCInv) || len(cv.Points) != len(procs) {
-		t.Fatalf("curve header wrong: %+v", cv)
-	}
-	for i, p := range cv.Points {
-		if p.Procs != procs[i] || p.ExecCycles <= 0 {
-			t.Fatalf("point %d malformed: %+v", i, p)
+	for i, row := range tab.Rows {
+		if row[0] != fmt.Sprint(procs[i]) || row[1] == "0" {
+			t.Fatalf("row %d malformed: %v", i, row)
 		}
 	}
-	if c.Render() == "" || c.Markdown() == "" {
-		t.Fatal("artifact renders empty")
+	if tab.Render() == "" || tab.Markdown() == "" {
+		t.Fatal("table renders empty")
 	}
 
 	if _, err := OverheadScaling("is", ScaleSmall, memsys.KindRCInv, base, nil); err == nil {

@@ -141,9 +141,9 @@ func TestMetricsDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
-// TestMetricsSnapshotJSONDeterministic: marshalling the same snapshot twice
-// must give identical bytes (benchdiff and the BENCH_*.json record rely on
-// it).
+// TestMetricsSnapshotJSONDeterministic: rendering the same snapshot twice
+// must give identical bytes (TestRegenerationGolden compares String()
+// output against a committed golden).
 func TestMetricsSnapshotJSONDeterministic(t *testing.T) {
 	params := DefaultParams(8)
 	withMetrics(true, func() {
