@@ -3,6 +3,10 @@
 // only read misses are cold and coherence misses); the finite set-associative
 // LRU variant implements the paper's §7 "open issues" extension, introducing
 // capacity and conflict misses.
+//
+// A machine's infinite caches share one line-major copy table
+// (NewInfinites): the copies of one line lie side by side, which is how a
+// coherence fan-out visits them.
 package cache
 
 import (
@@ -70,44 +74,59 @@ type Cache interface {
 	ForEach(func(line memsys.Addr, l *Line))
 }
 
-// NewInfinite returns an unbounded cache (the paper's default). Lines live
-// in a paged flat table indexed by line number with an explicit valid bit —
-// the shared heap is a bump allocator, so line numbers are dense from zero
-// and a lookup on the per-access hot path is two array indexings with no
-// hashing, no per-line pointer, and no steady-state allocation.
-func NewInfinite() Cache { return &infinite{} }
-
-// islot is one paged-table slot: the line metadata plus its presence bit.
-type islot struct {
-	l     Line
-	valid bool
+// NewInfinites returns the unbounded caches (the paper's default) of a
+// machine's nodes, one per node. They share one line-major copy table: node
+// n's copy of line l sits at slot l·nodes+n, so the copies of one line lie
+// side by side, and a coherence fan-out over a line's sharers reads one
+// stretch of memory instead of one page in each node's table. The shared
+// heap is a bump allocator, so line numbers are dense from zero, and a
+// lookup on the per-access hot path is two array indexings with no hashing,
+// no per-line pointer, and no steady-state allocation. A slot is the Line
+// itself: State == Invalid marks it absent.
+func NewInfinites(nodes int) []Cache {
+	t := new(memsys.Paged[Line])
+	views := make([]infinite, nodes)
+	cs := make([]Cache, nodes)
+	for i := range views {
+		views[i] = infinite{t: t, nodes: uint64(nodes), node: uint64(i)}
+		cs[i] = &views[i]
+	}
+	return cs
 }
 
+// NewInfinite returns one unbounded cache: the one-node case of
+// NewInfinites.
+func NewInfinite() Cache { return &infinite{t: new(memsys.Paged[Line]), nodes: 1} }
+
+// infinite is one node's column of a shared copy table.
 type infinite struct {
-	t memsys.Paged[islot]
-	n int // resident (valid) lines
+	t           *memsys.Paged[Line] // shared by all the machine's nodes
+	nodes, node uint64
+	n           int // resident lines
 }
+
+func (c *infinite) slot(line memsys.Addr) uint64 { return uint64(line)*c.nodes + c.node }
 
 func (c *infinite) Lookup(line memsys.Addr) (*Line, bool) {
-	s := c.t.Peek(uint64(line))
-	if s == nil || !s.valid {
+	l := c.t.Peek(c.slot(line))
+	if l == nil || l.State == Invalid {
 		return nil, false
 	}
-	return &s.l, true
+	return l, true
 }
 
 func (c *infinite) Insert(line memsys.Addr) (*Line, memsys.Addr, State, bool) {
-	s := c.t.At(uint64(line))
-	if !s.valid {
-		*s = islot{l: Line{State: Shared}, valid: true}
+	l := c.t.At(c.slot(line))
+	if l.State == Invalid {
+		*l = Line{State: Shared}
 		c.n++
 	}
-	return &s.l, 0, Invalid, false
+	return l, 0, Invalid, false
 }
 
 func (c *infinite) Invalidate(line memsys.Addr) {
-	if s := c.t.Peek(uint64(line)); s != nil && s.valid {
-		s.valid = false
+	if l := c.t.Peek(c.slot(line)); l != nil && l.State != Invalid {
+		l.State = Invalid
 		c.n--
 	}
 }
@@ -116,12 +135,15 @@ func (c *infinite) Touch(memsys.Addr) {}
 func (c *infinite) Len() int          { return c.n }
 func (c *infinite) Evictions() uint64 { return 0 }
 
+// ForEach steps through the node's own slots, one per line, so a sweep of
+// every node (the conformance audit) reads the table once.
 func (c *infinite) ForEach(f func(memsys.Addr, *Line)) {
-	c.t.ForEach(func(i uint64, s *islot) {
-		if s.valid {
-			f(memsys.Addr(i), &s.l)
+	end := c.t.Len()
+	for i, line := c.node, memsys.Addr(0); i < end; i, line = i+c.nodes, line+1 {
+		if l := c.t.Peek(i); l != nil && l.State != Invalid {
+			f(line, l)
 		}
-	})
+	}
 }
 
 // NewFinite returns a set-associative LRU cache with the given total number

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -208,3 +209,76 @@ func TestStateString(t *testing.T) {
 		t.Fatal("unknown state should print ?")
 	}
 }
+
+// checkSharedTable exercises a machine's shared copy table: every node's
+// copy of a line is its own, Len and ForEach see only the node's own
+// copies, and an invalidated slot comes back reset.
+func checkSharedTable(t *testing.T, nodes int) {
+	cs := NewInfinites(nodes)
+	if len(cs) != nodes {
+		t.Fatalf("NewInfinites(%d) returns %d caches", nodes, len(cs))
+	}
+	// Node n holds lines n%7 and shared, and odd nodes also 100+n%5: the
+	// nodes hold different counts and share every line with other nodes.
+	const shared = memsys.Addr(5000)
+	want := make([]map[memsys.Addr]bool, nodes)
+	for n, c := range cs {
+		want[n] = map[memsys.Addr]bool{memsys.Addr(n % 7): true, shared: true}
+		if n%2 == 1 {
+			want[n][memsys.Addr(100+n%5)] = true
+		}
+		for line := range want[n] {
+			l, _, _, _ := c.Insert(line)
+			l.Version = uint64(n)
+		}
+	}
+	for n, c := range cs {
+		l, ok := c.Lookup(shared)
+		if !ok || l.Version != uint64(n) {
+			t.Fatalf("node %d's copy of line %d: ok=%v %+v, want version %d (copies alias)", n, shared, ok, l, n)
+		}
+		if c.Len() != len(want[n]) {
+			t.Fatalf("node %d: Len = %d, want %d", n, c.Len(), len(want[n]))
+		}
+		prev, visits := memsys.Addr(0), 0
+		c.ForEach(func(line memsys.Addr, l *Line) {
+			if !want[n][line] || l.Version != uint64(n) {
+				t.Fatalf("node %d: ForEach visits line %d (version %d), which it does not hold", n, line, l.Version)
+			}
+			if visits > 0 && line <= prev {
+				t.Fatalf("node %d: ForEach visits line %d after %d", n, line, prev)
+			}
+			prev = line
+			visits++
+		})
+		if visits != len(want[n]) {
+			t.Fatalf("node %d: ForEach visits %d lines, want %d", n, visits, len(want[n]))
+		}
+	}
+	last := cs[nodes-1]
+	l, _ := last.Lookup(shared)
+	l.State, l.ReadyAt, l.Updates = Modified, 77, 3
+	last.Invalidate(shared)
+	if _, ok := last.Lookup(shared); ok {
+		t.Fatal("line present after invalidate")
+	}
+	if got := last.Len(); got != len(want[nodes-1])-1 {
+		t.Fatalf("Len after invalidate = %d, want %d", got, len(want[nodes-1])-1)
+	}
+	if l, _, _, _ := last.Insert(shared); *l != (Line{State: Shared}) {
+		t.Fatalf("re-insert after invalidate returns %+v, want a reset Shared line", *l)
+	}
+	if l, ok := cs[0].Lookup(shared); !ok || l.Version != 0 {
+		t.Fatal("invalidating one node's copy disturbed another's")
+	}
+}
+
+func TestInfinitesSharedTable(t *testing.T) {
+	for _, nodes := range []int{1, 2, 16, 64} {
+		t.Run(fmt.Sprint(nodes), func(t *testing.T) { checkSharedTable(t, nodes) })
+	}
+}
+
+// TestInfinitesWide runs the shared table at the many-core cap, where one
+// line's copies span two pages of the paged table.
+func TestInfinitesWide(t *testing.T) { checkSharedTable(t, memsys.MaxProcs) }

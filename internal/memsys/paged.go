@@ -90,7 +90,8 @@ func (t *Paged[T]) grow(pi uint64) {
 
 // ForEach visits every element of every allocated page in ascending index
 // order. Untouched elements of a touched page are visited too (they hold
-// the zero value); callers that need presence must keep a valid bit in T.
+// the zero value); callers that need presence must mark it in T, with a
+// valid bit or a field whose zero value means absent (cache.Line's State).
 // The table must not grow during iteration.
 func (t *Paged[T]) ForEach(f func(i uint64, v *T)) {
 	for pi := range t.pages {
@@ -104,6 +105,10 @@ func (t *Paged[T]) ForEach(f func(i uint64, v *T)) {
 		}
 	}
 }
+
+// Len returns one past the highest index the page vector covers; every
+// index at or above it is untouched.
+func (t *Paged[T]) Len() uint64 { return uint64(len(t.pages)) << pageShift }
 
 // Pages returns the number of allocated pages (memory accounting and tests).
 func (t *Paged[T]) Pages() int {

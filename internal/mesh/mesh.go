@@ -1,12 +1,19 @@
 // Package mesh models the CC-NUMA interconnect of the paper's simulated
 // machine: a 2-D mesh with dimension-order (XY) routing, a configurable link
-// bandwidth (the paper uses 1.6 CPU cycles per byte) and per-link FIFO
+// bandwidth (the paper uses 1.6 CPU cycles per byte) and per-link
 // contention. Messages occupy each link on their path for size-proportional
-// time; a later message queues behind an earlier one on a shared link.
+// time; a message booked later queues behind an earlier one on a shared
+// link.
 //
-// Because the simulation kernel delivers globally visible operations in
-// nondecreasing virtual time, modelling a link as a busy-until timestamp is
-// an exact FIFO queue.
+// Each link is a busy-until timestamp, and a message books every link of
+// its route when it is injected. The kernel runs traps in nondecreasing
+// virtual time, but a protocol transaction books its later legs (replies,
+// acks, a fan-out's messages) at once, so links serve messages in booking
+// order, not in the order they reach the link. That is first come, first
+// served only at a route's first hop: a message that reaches a downstream
+// link first still waits behind a booking that begins later, even while
+// the link is idle. ROADMAP's "Links that wait only while busy" measures
+// this and plans its replacement.
 package mesh
 
 import (
@@ -21,7 +28,7 @@ type Time = memsys.Time
 
 // Net is the interconnect between the machine's nodes: a routing topology
 // (mesh by default — the paper's network) plus link bandwidth, per-hop
-// latency, and per-link FIFO contention.
+// latency, and per-link contention.
 type Net struct {
 	topo Topology
 
@@ -36,8 +43,8 @@ type Net struct {
 	ctrlCycles, dataCycles Time
 
 	// busy[l] is the time at which link l (a Topology link id) becomes
-	// free. runs holds the route of the message Send is routing; it is
-	// reused across messages under the same serialization as busy.
+	// free. runs holds the route of the message being booked; it is reused
+	// across messages under the same serialization as busy.
 	busy []Time
 	runs []Run
 
@@ -94,6 +101,13 @@ func New(p memsys.Params) *Net {
 	}
 }
 
+// route returns the links of the route from src to dst. The slice is valid
+// until the next call.
+func (n *Net) route(src, dst int) []Run {
+	n.runs = n.topo.Route(n.runs[:0], src, dst)
+	return n.runs
+}
+
 // transfer returns the per-link occupancy of a message of the given size.
 func (n *Net) transfer(bytes int) Time {
 	switch bytes {
@@ -118,19 +132,73 @@ func (n *Net) Path(src, dst int) []int { return Path(n.topo, src, dst) }
 
 // Send injects a message of the given size from src to dst at time start and
 // returns its arrival time, modelling store-and-forward transfer with
-// per-link FIFO contention. A message to the local node arrives immediately.
+// per-link busy-until contention. A message to the local node arrives
+// immediately.
 func (n *Net) Send(src, dst, bytes int, start Time) Time {
 	if src == dst {
 		return start
 	}
+	transfer := n.transfer(bytes)
+	t, queued, hops := walk(n.busy, n.route(src, dst), n.hopLatency, transfer, start)
+	if n.mHops != nil && metrics.Enabled() {
+		n.mHops.Observe(uint64(hops))
+	}
 	n.msgs++
 	n.bytes += uint64(bytes)
-	n.runs = n.topo.Route(n.runs[:0], src, dst)
-	transfer, hop, busy := n.transfer(bytes), n.hopLatency, n.busy
+	n.queueing += queued
+	n.occupied += transfer * Time(hops)
+	return t
+}
+
+// Fan books one round trip from src to each node of dsts, in list order: a
+// message of out bytes injected at t, then a reply of back bytes injected
+// when the message arrives. Each round trip books exactly what
+// Send(d, src, back, Send(src, d, out, t)) would, so a round trip to src
+// itself is free. Fan returns the latest reply's arrival, or t if dsts is
+// empty. The protocols' coherence fan-outs (an update or invalidation to
+// every sharer, each acked to the home) make one Fan call each, and Fan
+// updates the statistics once per call.
+func (n *Net) Fan(src int, dsts []int, out, back int, t Time) Time {
+	outT, backT := n.transfer(out), n.transfer(back)
+	observe := n.mHops != nil && metrics.Enabled()
+	busy, hop := n.busy, n.hopLatency
+	latest := t
+	var trips uint64
 	var queued Time
-	var hops int32
-	t := start
-	for _, r := range n.runs {
+	var outHops, backHops int32
+	for _, d := range dsts {
+		if d == src {
+			continue
+		}
+		at, q1, h1 := walk(busy, n.route(src, d), hop, outT, t)
+		r, q2, h2 := walk(busy, n.route(d, src), hop, backT, at)
+		if observe {
+			n.mHops.Observe(uint64(h1))
+			n.mHops.Observe(uint64(h2))
+		}
+		latest = max(latest, r)
+		queued += q1 + q2
+		outHops += h1
+		backHops += h2
+		trips++
+	}
+	n.msgs += 2 * trips
+	n.bytes += trips * uint64(out+back)
+	n.queueing += queued
+	n.occupied += outT*Time(outHops) + backT*Time(backHops)
+	return latest
+}
+
+// walk books the links of one message's route, given as runs of link ids,
+// for a message that occupies each link for transfer cycles from its
+// injection at start. It returns the arrival time, the cycles the message
+// queued and its hop count, and leaves the statistics to its caller. It is
+// the link model Send and Fan share: each link's busy-until timestamp
+// delays the message until the link's last booking ends, and is then moved
+// past this message's transfer.
+func walk(busy []Time, runs []Run, hop, transfer, start Time) (t, queued Time, hops int32) {
+	t = start
+	for _, r := range runs {
 		l := r.First
 		for k := r.Len; k > 0; k-- {
 			begin := t + hop
@@ -144,12 +212,7 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 		}
 		hops += r.Len
 	}
-	if n.mHops != nil && metrics.Enabled() {
-		n.mHops.Observe(uint64(hops))
-	}
-	n.queueing += queued
-	n.occupied += transfer * Time(hops)
-	return t
+	return t, queued, hops
 }
 
 // UncontendedLatency returns the latency a message would see on an idle

@@ -3,10 +3,12 @@ package mesh
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"zsim/internal/memsys"
+	"zsim/internal/metrics"
 )
 
 func testNet(procs int) *Net {
@@ -191,10 +193,11 @@ func TestStatsAccumulate(t *testing.T) {
 // last one arrived, so none of these queues.
 //
 // fanout/8x8 is one write-update transaction of the kind that dominates
-// coherence's traffic (upd.updateTxn): a home sends a data message to
-// every other node of the 8×8 mesh at the same start time and each node
-// acks with a control message, so the fan-out and the acks contend on the
-// links around the home. Its ns/op is per message.
+// coherence's traffic (upd.updateTxn), booked with one Fan call as the
+// protocol does: a home sends a data message to every other node of the
+// 8×8 mesh at the same start time and each node acks with a control
+// message, so the fan-out and the acks contend on the links around the
+// home. Its ns/op is per message.
 func BenchmarkSend(b *testing.B) {
 	for _, procs := range []int{16, 64, 1024} {
 		p := memsys.Default(procs)
@@ -221,22 +224,88 @@ func BenchmarkSend(b *testing.B) {
 		n := New(p)
 		nodes := p.Nodes()
 		data := p.HeaderBytes + p.LineSize
+		dsts := make([]int, nodes)
+		for i := range dsts {
+			dsts[i] = i // Fan skips the home
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		var t Time
 		for i, home := 0, 0; i < b.N; home = (home + 1) & (nodes - 1) {
-			acks := t
-			for s := 0; s < nodes && i < b.N; s++ {
-				if s == home {
-					continue
-				}
-				at := n.Send(home, s, data, t)
-				if ack := n.Send(s, home, p.CtrlBytes, at); ack > acks {
-					acks = ack
-				}
-				i += 2
-			}
-			t = acks
+			t = n.Fan(home, dsts, data, p.CtrlBytes, t)
+			i += 2 * (nodes - 1)
 		}
 	})
+}
+
+// TestFanMatchesSends pins Fan to its definition: each round trip books
+// exactly what Send(d, src, back, Send(src, d, out, t)) would, in list
+// order. Both networks start from the same random load; every fan-out is
+// replayed with Send on the twin, and the two must agree on each return
+// value, on every link's busy-until time and on every statistic.
+func TestFanMatchesSends(t *testing.T) {
+	defer metrics.Enable(metrics.Enable(true))
+	for _, c := range testNetworks() {
+		t.Run(c.name, func(t *testing.T) {
+			fan, twin := New(c.p), New(c.p)
+			fanReg, twinReg := metrics.NewRegistry(), metrics.NewRegistry()
+			fan.InstrumentMetrics(fanReg)
+			twin.InstrumentMetrics(twinReg)
+			nodes := c.p.Nodes()
+			data := c.p.HeaderBytes + c.p.LineSize
+			rng := rand.New(rand.NewSource(int64(nodes)))
+			var t0 Time
+			for i := 0; i < 4*nodes; i++ {
+				src, dst := rng.Intn(nodes), rng.Intn(nodes)
+				bytes := []int{c.p.CtrlBytes, data}[rng.Intn(2)]
+				start := t0 + Time(rng.Intn(200))
+				if got, want := fan.Send(src, dst, bytes, start), twin.Send(src, dst, bytes, start); got != want {
+					t.Fatalf("loading Send(%d, %d): %d and %d", src, dst, got, want)
+				}
+				t0 += Time(rng.Intn(20))
+			}
+			for i := 0; i < 40; i++ {
+				home := rng.Intn(nodes)
+				var dsts []int
+				switch i {
+				case 0: // no sharer
+				case 1:
+					dsts = []int{home}
+				default:
+					for d := 0; d < nodes; d++ {
+						if rng.Intn(4) == 0 || d == home && i%3 == 0 {
+							dsts = append(dsts, d)
+						}
+					}
+				}
+				out := []int{c.p.CtrlBytes, data}[rng.Intn(2)]
+				start := t0 + Time(rng.Intn(200))
+				got := fan.Fan(home, dsts, out, c.p.CtrlBytes, start)
+				want := start
+				for _, d := range dsts {
+					if r := twin.Send(d, home, c.p.CtrlBytes, twin.Send(home, d, out, start)); r > want {
+						want = r
+					}
+				}
+				if got != want {
+					t.Fatalf("fan-out %d from %d to %v: Fan returns %d, Sends %d", i, home, dsts, got, want)
+				}
+				t0 += Time(rng.Intn(100))
+			}
+			if !reflect.DeepEqual(fan.busy, twin.busy) {
+				t.Fatal("Fan and Sends leave different link busy-until times")
+			}
+			if fan.Messages() != twin.Messages() || fan.Bytes() != twin.Bytes() ||
+				fan.QueueingCycles() != twin.QueueingCycles() || fan.OccupiedCycles() != twin.OccupiedCycles() {
+				t.Fatalf("stats differ: Fan %v, Sends %v", fan, twin)
+			}
+			if fan.QueueingCycles() == 0 {
+				t.Fatal("the load never queued a message; the test would not see a booking-order difference")
+			}
+			fh, th := fanReg.Snapshot().Histograms["mesh.hops"], twinReg.Snapshot().Histograms["mesh.hops"]
+			if fh.Count == 0 || !reflect.DeepEqual(fh, th) {
+				t.Fatalf("mesh.hops: Fan %+v, Sends %+v", fh, th)
+			}
+		})
+	}
 }

@@ -75,6 +75,9 @@ type base struct {
 	// miss, so the lookup must not hash or allocate.
 	seen []memsys.Paged[bool]
 	ctr  *memsys.Counters
+	// targets lists the sharers a coherence fan-out sends to, in ascending
+	// id; each fan-out's selection pass refills it, and fanOut sends to it.
+	targets []int
 
 	// nodes and threads are p.Nodes() and p.HWThreads, kept as plain ints
 	// so that the per-access node and home mapping does not copy p.
@@ -87,18 +90,18 @@ func newBase(p memsys.Params, net *mesh.Net) base {
 		p:       p,
 		net:     net,
 		dir:     directory.New(nodes, p.LineSize),
-		caches:  make([]cache.Cache, nodes),
 		seen:    make([]memsys.Paged[bool], nodes),
 		ctr:     memsys.NewCounters(p.Procs),
 		nodes:   nodes,
 		threads: p.HWThreads,
 	}
+	if !p.FiniteCache {
+		b.caches = cache.NewInfinites(nodes)
+		return b
+	}
+	b.caches = make([]cache.Cache, nodes)
 	for i := range b.caches {
-		if p.FiniteCache {
-			b.caches[i] = cache.NewFinite(p.CacheLines, p.CacheAssoc)
-		} else {
-			b.caches[i] = cache.NewInfinite()
-		}
+		b.caches[i] = cache.NewFinite(p.CacheLines, p.CacheAssoc)
 	}
 	return b
 }
@@ -158,6 +161,29 @@ func (b *base) data(src, dst int, t Time) Time {
 		b.ctr.Bytes += uint64(b.p.HeaderBytes + b.p.LineSize)
 	}
 	return b.net.Send(src, dst, b.p.HeaderBytes+b.p.LineSize, t)
+}
+
+// fanOut books a coherence fan-out from the home: for each node of
+// b.targets in order, a message (a line of data when data is set, else a
+// control message) followed at once by its control ack back to the home.
+// It returns when the last ack reaches the home, or t when no node is
+// listed. A target at the home costs nothing and counts no message.
+func (b *base) fanOut(home int, data bool, t Time) Time {
+	out := b.p.CtrlBytes
+	if data {
+		out = b.p.HeaderBytes + b.p.LineSize
+	}
+	for _, s := range b.targets {
+		if s == home {
+			continue
+		}
+		b.ctr.Messages += 2
+		b.ctr.Bytes += uint64(out + b.p.CtrlBytes)
+		if data {
+			b.ctr.DataMsgs++
+		}
+	}
+	return b.net.Fan(home, b.targets, out, b.p.CtrlBytes, t)
 }
 
 // markSeen records that processor p has cached the line at least once, and
@@ -287,7 +313,7 @@ func (b *base) ownership(p int, line memsys.Addr, now Time) Time {
 		t = b.ctrl(home, p, t)
 	default:
 		// Invalidate every other sharer; acks return to home.
-		acks := t
+		b.targets = b.targets[:0]
 		dropped := false
 		e.Sharers.ForEach(func(s int) {
 			if s == p {
@@ -299,13 +325,11 @@ func (b *base) ownership(p int, line memsys.Addr, now Time) Time {
 				dropped = true
 				return
 			}
-			at := b.ctrl(home, s, t)
 			b.caches[s].Invalidate(line)
 			b.ctr.Invalidations++
-			if ack := b.ctrl(s, home, at); ack > acks {
-				acks = ack
-			}
+			b.targets = append(b.targets, s)
 		})
+		acks := b.fanOut(home, false, t)
 		_, hadCopy := b.caches[p].Lookup(line)
 		if hadCopy {
 			t = b.ctrl(home, p, acks)

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -687,37 +689,52 @@ func TestUnknownZOracleRejected(t *testing.T) {
 	}
 }
 
-// A finite cache can evict a line the directory still lists the node as
-// sharing; the next update transaction must drop the stale presence bit
-// instead of delivering an update into the void.
-func TestUpdateDropsStalePresenceBits(t *testing.T) {
+// TestEvictionClearsPresenceBeforeUpdate: a finite cache's eviction sends
+// a replacement hint that clears the evicted node's presence bit, so a
+// later update fan-out never reaches a node without a copy.
+func TestEvictionClearsPresenceBeforeUpdate(t *testing.T) {
 	p := memsys.Default(16)
 	p.FiniteCache = true
 	p.CacheLines = 2
 	p.CacheAssoc = 1
 	s := newSysParams(t, memsys.KindRCUpd, p)
+	b := baseOf(s)
 	now := Time(0)
 	now += s.Read(1, 64, 8, now) + 1 // P1 shares line 2 (addr 64)
-	// Conflict P1's cache until line 2 is evicted (direct-mapped, 2 sets:
-	// even lines collide with each other).
-	for i := 2; i <= 8; i += 2 {
-		now += s.Read(1, memsys.Addr(i*64), 8, now) + 1
+	// Line 4 maps to the same set of P1's direct-mapped cache (2 sets: even
+	// lines collide), so reading it evicts line 2.
+	now += s.Read(1, 128, 8, now) + 1
+	if _, cached := b.caches[1].Lookup(2); cached {
+		t.Fatal("P1 still caches line 2 after a conflicting read")
+	}
+	if e := b.dir.Entry(64); e.Sharers.Has(1) {
+		t.Fatalf("evicted P1 is still listed as a sharer: %v", e)
 	}
 	before := s.Counters().Updates
 	s.Write(0, 64, 8, now)
-	now += s.Release(0, now)
-	// The update txn ran; P1's stale bit must not have received an update.
+	now += s.Release(0, now) // the merge buffer flushes line 2's update txn
+	if got := s.Counters().Updates; got != before {
+		t.Fatalf("the update txn sent %d updates, want none: line 2 has no other sharer", got-before)
+	}
+	if e := b.dir.Entry(64); !e.Sharers.Has(0) || e.Sharers.Count() != 1 {
+		t.Fatalf("after P0's update txn the entry is %v, want P0 as the only sharer", e)
+	}
+}
+
+// TestUpdatePanicsOnPresenceWithoutCopy: a presence bit with no resident
+// copy behind it is a protocol bug, which an update fan-out reports with a
+// panic naming the line and the node.
+func TestUpdatePanicsOnPresenceWithoutCopy(t *testing.T) {
+	s := newSys(t, memsys.KindRCUpd)
 	b := baseOf(s)
-	e, ok := b.dir.Lookup(64)
-	if !ok {
-		t.Fatal("directory entry missing")
-	}
-	if e.Sharers.Has(1) {
-		// Either P1 still genuinely caches the line, or the stale bit
-		// survived; it must only be set if the cache holds the line.
-		if _, cached := b.caches[1].Lookup(2); !cached {
-			t.Fatal("stale presence bit for P1 survived the update txn")
+	now := s.Read(1, 64, 8, 0) + 1 // P1 shares line 2 (addr 64)
+	b.dir.Entry(64).Sharers.Add(5) // a presence bit without a copy
+	s.Write(0, 64, 8, now)
+	defer func() {
+		want := "line 0x2: presence bit for node 5 without a resident copy"
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("recovered %v, want a panic containing %q", r, want)
 		}
-	}
-	_ = before
+	}()
+	s.Release(0, now)
 }

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"fmt"
+
 	"zsim/internal/cache"
 	"zsim/internal/directory"
 	"zsim/internal/memsys"
@@ -95,19 +97,17 @@ func (u *upd) Read(p int, addr memsys.Addr, size int, now Time) Time {
 func (u *upd) reinit(p int, line memsys.Addr, e *directory.Entry, now Time) Time {
 	home := u.home(line)
 	t := u.ctrl(p, home, now) + u.p.DirLatency
-	acks := t
+	u.targets = u.targets[:0]
 	e.Sharers.ForEach(func(s int) {
 		if s == p {
 			return
 		}
-		at := u.ctrl(home, s, t)
 		u.caches[s].Invalidate(line)
 		u.ctr.Invalidations++
 		u.ctr.SelfInvalidations++
-		if ack := u.ctrl(s, home, at); ack > acks {
-			acks = ack
-		}
+		u.targets = append(u.targets, s)
 	})
+	acks := u.fanOut(home, false, t)
 	e.Sharers.Clear()
 	e.Sharers.Add(p)
 	e.State = directory.SharedClean // leaves Special until the next write
@@ -142,7 +142,7 @@ func (u *upd) updateTxn(p int, line memsys.Addr, t0 Time) Time {
 	home := u.home(line)
 	t := u.data(p, home, t0) + u.p.DirLatency
 	e.Version++ // the fan-out makes new contents globally visible
-	acks := t
+	u.targets = u.targets[:0]
 	dropped := false
 	e.Sharers.ForEach(func(s int) {
 		if s == p {
@@ -150,9 +150,9 @@ func (u *upd) updateTxn(p int, line memsys.Addr, t0 Time) Time {
 		}
 		sl, ok := u.caches[s].Lookup(line)
 		if !ok {
-			// Stale presence bit (finite-cache eviction); drop it.
-			e.Sharers.Remove(s)
-			return
+			// Every path that drops a copy also clears its presence bit
+			// (evict sends a replacement hint), so this is a protocol bug.
+			panic(fmt.Sprintf("proto: line %#x: presence bit for node %d without a resident copy", line, s))
 		}
 		if u.p.FaultInjection == "drop-update" && !dropped {
 			// Seeded defect: the update to one sharer is lost, leaving its
@@ -160,7 +160,6 @@ func (u *upd) updateTxn(p int, line memsys.Addr, t0 Time) Time {
 			dropped = true
 			return
 		}
-		ut := u.data(home, s, t)
 		u.ctr.Updates++
 		if sl.Updates > 0 {
 			u.ctr.UselessUpdates++
@@ -173,10 +172,9 @@ func (u *upd) updateTxn(p int, line memsys.Addr, t0 Time) Time {
 			e.Sharers.Remove(s)
 			u.ctr.SelfInvalidations++
 		}
-		if ack := u.ctrl(s, home, ut); ack > acks {
-			acks = ack
-		}
+		u.targets = append(u.targets, s)
 	})
+	acks := u.fanOut(home, true, t)
 	e.Sharers.Add(p)
 	u.enforcePointers(e, line, p, acks)
 	if u.mode == updAdaptive {
