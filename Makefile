@@ -1,9 +1,13 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 GO ?= go
 
-.PHONY: all build test race vet lint litmus conformance bench bench-all profile zsimd check
+.PHONY: all fmt build test race vet lint litmus conformance bench bench-all profile zsimd check
 
 all: check
+
+# CI's formatting gate: fail when gofmt would rewrite any file.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needs to be run on:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -62,4 +66,4 @@ profile:
 zsimd:
 	$(GO) test ./internal/zsimdtest/... -race -short
 
-check: vet lint build test race litmus conformance zsimd
+check: fmt vet lint build test race litmus conformance zsimd

@@ -1,10 +1,9 @@
-// Package directory implements the full-map directories of the simulated
-// CC-NUMA machine. Each node keeps a directory entry for every cache line
-// whose home it is (lines are interleaved across nodes); the entry records
-// the line's global coherence state, the presence bits of the sharing
-// processors, and protocol-specific metadata: the "special" state of the
-// paper's adaptive selective-write protocol and the outstanding-write
-// availability timestamp implementing the z-machine's counter mechanism.
+// Package directory implements the full-map directory of the simulated
+// CC-NUMA machine. Lines are interleaved across the nodes' homes; each line's
+// entry records its global coherence state, the presence bits of the sharing
+// processors, the owner of a Dirty line, the "special" state of the paper's
+// adaptive selective-write protocol, and the version that the conformance
+// checker compares cached copies against.
 package directory
 
 import (
@@ -18,8 +17,12 @@ import (
 type State uint8
 
 const (
+	// untouched marks a table slot no request has reached yet: the zero
+	// value, so a fresh page reads as absent (cache.Line's Invalid plays
+	// the same part in the copy table).
+	untouched State = iota
 	// Uncached: no processor holds the line.
-	Uncached State = iota
+	Uncached
 	// SharedClean: one or more read-only copies; memory is up to date.
 	SharedClean
 	// Dirty: exactly one processor owns the line in Modified state.
@@ -54,7 +57,7 @@ const BitsetWords = memsys.MaxProcs / 64
 // The representation is width-adaptive so the many-core cap costs small
 // machines nothing: processors 0–63 live in one inline word (the entire
 // footprint of a machine at or below the seed's 64-processor ceiling, and
-// the entry stays compact inside the paged directory tables), while the
+// the entry stays compact inside the paged directory table), while the
 // high words are allocated at most once per set, the first time a
 // processor >= 64 is added. Machines with at most 64 processors therefore
 // never allocate (the per-request hot path stays allocation-free, pinned
@@ -149,13 +152,6 @@ type Entry struct {
 	Sharers Bitset
 	Owner   int // valid when State == Dirty
 
-	// AvailableAt implements the z-machine's per-block counter: the time by
-	// which all outstanding writes to the block have propagated to every
-	// consumer. A z-machine read before this time stalls (inherent
-	// communication cost); the counter-is-zero condition of the paper is
-	// exactly now >= AvailableAt.
-	AvailableAt memsys.Time
-
 	// Version counts the write transactions that have made new contents of
 	// the line globally visible (ownership acquisitions and update fan-outs).
 	// Every valid cached copy must carry the entry's current version; a copy
@@ -165,37 +161,26 @@ type Entry struct {
 }
 
 func (e *Entry) String() string {
-	return fmt.Sprintf("{%s sharers=%v owner=%d avail=%d v%d}", e.State, e.Sharers.List(), e.Owner, e.AvailableAt, e.Version)
+	return fmt.Sprintf("{%s sharers=%v owner=%d v%d}", e.State, e.Sharers.List(), e.Owner, e.Version)
 }
 
-// dslot is one paged-table slot of a home's directory: the entry plus a
-// valid bit distinguishing a touched line from the zero value.
-type dslot struct {
-	e     Entry
-	valid bool
-}
-
-// Directory is the collection of all nodes' directories. Each home keeps
-// its entries in a paged flat table indexed by the line's per-home slot
-// (line / procs — lines are interleaved round-robin, so the slots of one
-// home are dense from zero). An entry access on the per-request hot path is
-// two array indexings: no hashing, no per-entry pointer, no steady-state
-// allocation.
+// Directory holds every line's entry in one paged flat table indexed by
+// line number, so an access on the per-request hot path is two array
+// indexings: no hashing, no per-entry pointer, no steady-state allocation.
+// A slot whose State is still the zero value is a line no request has
+// touched.
 type Directory struct {
 	procs    int
 	lineSize int
-	homes    []memsys.Paged[dslot]
+	t        memsys.Paged[Entry]
 	// allocs counts the entries ever created (directory occupancy growth).
 	allocs uint64
 }
 
-// New creates directories for every node.
+// New creates the directory of a procs-node machine with the given
+// coherence unit.
 func New(procs, lineSize int) *Directory {
-	return &Directory{
-		procs:    procs,
-		lineSize: lineSize,
-		homes:    make([]memsys.Paged[dslot], procs),
-	}
+	return &Directory{procs: procs, lineSize: lineSize}
 }
 
 // Home returns the home node of the line containing addr.
@@ -206,25 +191,21 @@ func (d *Directory) Home(addr memsys.Addr) int {
 // Entry returns the directory entry for the line containing addr, creating
 // an Uncached entry on first touch.
 func (d *Directory) Entry(addr memsys.Addr) *Entry {
-	line := memsys.Line(addr, d.lineSize)
-	home := int(line % memsys.Addr(d.procs))
-	s := d.homes[home].At(uint64(line) / uint64(d.procs))
-	if !s.valid {
-		s.valid = true
+	e := d.t.At(uint64(memsys.Line(addr, d.lineSize)))
+	if e.State == untouched {
+		e.State = Uncached
 		d.allocs++
 	}
-	return &s.e
+	return e
 }
 
 // Lookup returns the entry if it exists (the line has been touched).
 func (d *Directory) Lookup(addr memsys.Addr) (*Entry, bool) {
-	line := memsys.Line(addr, d.lineSize)
-	home := int(line % memsys.Addr(d.procs))
-	s := d.homes[home].Peek(uint64(line) / uint64(d.procs))
-	if s == nil || !s.valid {
+	e := d.t.Peek(uint64(memsys.Line(addr, d.lineSize)))
+	if e == nil || e.State == untouched {
 		return nil, false
 	}
-	return &s.e, true
+	return e, true
 }
 
 // Allocs returns the number of entries ever created. Entries are never
@@ -232,22 +213,20 @@ func (d *Directory) Lookup(addr memsys.Addr) (*Entry, bool) {
 // the metrics layer's directory-occupancy accounting.
 func (d *Directory) Allocs() uint64 { return d.allocs }
 
-// Entries returns the number of allocated entries across all homes (equal
-// to Allocs, since entries are never deallocated).
+// Entries returns the number of allocated entries (equal to Allocs, since
+// entries are never deallocated).
 func (d *Directory) Entries() int { return int(d.allocs) }
 
 // LineSize returns the directory's coherence unit.
 func (d *Directory) LineSize() int { return d.lineSize }
 
-// ForEach visits every allocated entry, home by home in ascending slot
-// order. Callers must not mutate the directory during iteration; it exists
-// for invariant checking and debugging.
+// ForEach visits every allocated entry in ascending line order. Callers
+// must not mutate the directory during iteration; it exists for invariant
+// checking and debugging.
 func (d *Directory) ForEach(f func(line memsys.Addr, e *Entry)) {
-	for home := range d.homes {
-		d.homes[home].ForEach(func(slot uint64, s *dslot) {
-			if s.valid {
-				f(memsys.Addr(slot)*memsys.Addr(d.procs)+memsys.Addr(home), &s.e)
-			}
-		})
-	}
+	d.t.ForEach(func(line uint64, e *Entry) {
+		if e.State != untouched {
+			f(memsys.Addr(line), e)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package directory
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"zsim/internal/memsys"
 )
@@ -211,9 +212,8 @@ func TestEntryStatePersists(t *testing.T) {
 	e.State = Dirty
 	e.Owner = 2
 	e.Sharers.Add(2)
-	e.AvailableAt = 99
 	e2 := d.Entry(64)
-	if e2.State != Dirty || e2.Owner != 2 || !e2.Sharers.Has(2) || e2.AvailableAt != 99 {
+	if e2.State != Dirty || e2.Owner != 2 || !e2.Sharers.Has(2) {
 		t.Fatalf("entry state lost: %v", e2)
 	}
 }
@@ -269,5 +269,44 @@ func TestForEachVisitsAllEntries(t *testing.T) {
 	})
 	if n != 10 {
 		t.Fatalf("visited %d entries, want 10", n)
+	}
+}
+
+// TestForEachAscendingLines: the directory is one table indexed by line
+// number, so ForEach visits exactly the touched lines, in ascending order,
+// whatever order they were touched in and whichever homes they belong to.
+func TestForEachAscendingLines(t *testing.T) {
+	d := New(4, 32)
+	lines := []memsys.Addr{1030, 7, 3, 512, 4, 511, 2049, 0}
+	for _, l := range lines {
+		d.Entry(l * 32)
+	}
+	d.Lookup(5000 * 32) // a lookup touches nothing
+	want := []memsys.Addr{0, 3, 4, 7, 511, 512, 1030, 2049}
+	var got []memsys.Addr
+	d.ForEach(func(line memsys.Addr, e *Entry) {
+		if e.State != Uncached {
+			t.Fatalf("line %d: fresh entry in state %v", line, e.State)
+		}
+		got = append(got, line)
+	})
+	if len(got) != len(want) {
+		t.Fatalf("ForEach visited %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ForEach visited %v, want %v", got, want)
+		}
+	}
+}
+
+// TestEntrySize pins the directory slot at 40 bytes on 64-bit hosts: the
+// entry itself, with no valid bit beside it.
+func TestEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("slot sizes are pinned for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(Entry{}); n != 40 {
+		t.Fatalf("directory.Entry is %d bytes, want 40", n)
 	}
 }

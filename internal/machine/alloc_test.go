@@ -7,11 +7,11 @@ import (
 )
 
 // A shared-memory word access is the innermost operation of every simulated
-// program: once the value table's pages and the line's protocol state exist,
-// a load or store must not allocate. Single processor so no concurrent
+// program: on every memory system, once the value table's pages and the
+// line's protocol state exist, a load or store must not allocate. Single processor so no concurrent
 // worker's allocations pollute the measurement.
 func TestWordAccessZeroAlloc(t *testing.T) {
-	for _, kind := range []memsys.Kind{memsys.KindPRAM, memsys.KindRCInv} {
+	for _, kind := range memsys.Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m := MustNew(kind, memsys.Default(1))

@@ -3,7 +3,7 @@ package memsys
 // This file implements the paged flat tables backing the simulator's
 // per-access hot state. The shared heap (internal/shm) is a bump allocator,
 // so simulated addresses — and everything derived from them: word indices,
-// line numbers, per-home directory slots — are dense from zero. That makes
+// line numbers — are dense from zero. That makes
 // a paged array strictly better than a hash map for hot-path state: an
 // index is split into page number (i >> pageShift) and offset (i & pageMask),
 // pages are fixed-size slabs allocated on first touch, and a steady-state
@@ -90,8 +90,9 @@ func (t *Paged[T]) grow(pi uint64) {
 
 // ForEach visits every element of every allocated page in ascending index
 // order. Untouched elements of a touched page are visited too (they hold
-// the zero value); callers that need presence must mark it in T, with a
-// valid bit or a field whose zero value means absent (cache.Line's State).
+// the zero value); callers that need presence must mark it in T with a
+// field whose zero value means absent (cache.Line's and directory.Entry's
+// State).
 // The table must not grow during iteration.
 func (t *Paged[T]) ForEach(f func(i uint64, v *T)) {
 	for pi := range t.pages {

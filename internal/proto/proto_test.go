@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"zsim/internal/directory"
 	"zsim/internal/memsys"
@@ -653,6 +654,38 @@ func TestPerfectOraclePerConsumerLatency(t *testing.T) {
 	}
 	if near != net.UncontendedLatency(0, 1, p.ZLineSize) {
 		t.Fatalf("near stall %d != per-consumer latency %d", near, net.UncontendedLatency(0, 1, p.ZLineSize))
+	}
+}
+
+// TestZLineSize pins the z-machine's writer record at 24 bytes on 64-bit
+// hosts: it holds the availability time with no directory slot beside it.
+func TestZLineSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("slot sizes are pinned for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(zline{}); n != 24 {
+		t.Fatalf("zline is %d bytes, want 24", n)
+	}
+}
+
+// The perfect oracle keeps the counter's rule that a read waits for every
+// outstanding write: a consumer of a line rewritten before the previous
+// write has landed waits for the earlier, farther write too, not only for
+// its own flight time from the latest writer.
+func TestPerfectOracleCarriesOutstandingWrite(t *testing.T) {
+	p := memsys.Default(16)
+	p.ZOracle = "perfect"
+	net := mesh.New(p)
+	s := MustNew(memsys.KindZMachine, p, net)
+	s.Write(15, 100, 4, 1000)
+	s.Write(0, 100, 4, 1001)
+	want := 1000 + net.MaxUncontendedLatency(15, p.ZLineSize) - 1001
+	own := net.UncontendedLatency(0, 1, p.ZLineSize)
+	if want <= own {
+		t.Fatalf("setup: carried wait %d does not exceed the reader's own latency %d", want, own)
+	}
+	if st := s.Read(1, 100, 4, 1001); st != want {
+		t.Fatalf("read stall = %d, want %d (the outstanding write from node 15)", st, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"zsim/internal/directory"
 	"zsim/internal/memsys"
 	"zsim/internal/mesh"
 	"zsim/internal/metrics"
@@ -16,9 +15,9 @@ import (
 //     immediately and never stalls: no write stall, no buffer flush.
 //   - The datum becomes visible at consumers after the uncontended
 //     propagation latency L, derived from the link bandwidth alone (there is
-//     no contention in the z-machine). The per-block availability timestamp
+//     no contention in the z-machine). The per-line availability time
 //     implements the paper's §3 counter mechanism: a write "increments" the
-//     counter and the counter "reaches zero" at AvailableAt; a read before
+//     counter and the counter "reaches zero" at availableAt; a read before
 //     that time stalls — and that stall is, by construction, the
 //     application's inherent communication cost.
 //   - Synchronization provides control flow only; the availability counter
@@ -28,16 +27,22 @@ import (
 // zline is the z-machine's per-line writer record, held in a paged flat
 // table indexed by line number (dense, because the heap bump-allocates).
 type zline struct {
-	writer  int32 // node of the line's most recent writer
-	writeAt Time  // its issue time (perfect-oracle mode only)
-	written bool
+	// availableAt is the time by which every outstanding write to the line
+	// has reached every consumer: the paper's counter is zero exactly when
+	// now >= availableAt.
+	availableAt Time
+	writeAt     Time  // the latest write's issue time (perfect-oracle mode only)
+	writer      int32 // node of the line's most recent writer
+	written     bool
 }
 
 type zmc struct {
 	p   memsys.Params
 	net *mesh.Net
-	dir *directory.Directory // line size = ZLineSize
 	wr  memsys.Paged[zline]
+	// allocs counts the word-lines ever written: the z-machine's directory
+	// occupancy.
+	allocs uint64
 	// maxLat holds net.MaxUncontendedLatency(src, ZLineSize) per source
 	// node: the availability counter needs it on every write fan-out and the
 	// scan over destinations is O(nodes). The topology, bandwidth, and
@@ -54,7 +59,6 @@ func newZMachine(p memsys.Params, net *mesh.Net) *zmc {
 	z := &zmc{
 		p:       p,
 		net:     net,
-		dir:     directory.New(p.Nodes(), p.ZLineSize),
 		maxLat:  make([]Time, p.Nodes()),
 		perfect: p.ZOracle == "perfect",
 		ctr:     memsys.NewCounters(p.Procs),
@@ -72,11 +76,11 @@ func (z *zmc) node(p int) int { return p / z.threads }
 func (z *zmc) Name() memsys.Kind          { return memsys.KindZMachine }
 func (z *zmc) Counters() *memsys.Counters { return z.ctr.Fold() }
 
-// PublishMetrics harvests the z-machine's word-grain directory occupancy
-// (implements metrics.Publisher).
+// PublishMetrics harvests the z-machine's word-grain directory occupancy,
+// the count of written word-lines (implements metrics.Publisher).
 func (z *zmc) PublishMetrics(r *metrics.Registry) {
-	r.Gauge("directory.entries").Set(int64(z.dir.Entries()))
-	r.Counter("directory.allocs").Add(z.dir.Allocs())
+	r.Gauge("directory.entries").Set(int64(z.allocs))
+	r.Counter("directory.allocs").Add(z.allocs)
 }
 
 // lines visits every z-machine word-line covered by [addr, addr+size).
@@ -96,23 +100,23 @@ func (z *zmc) Write(p int, addr memsys.Addr, size int, now Time) Time {
 	// latency from the producer.
 	L := z.maxLat[n]
 	z.lines(addr, size, func(line memsys.Addr) {
-		e := z.dir.Entry(line * memsys.Addr(z.p.ZLineSize))
 		w := z.wr.At(uint64(line))
 		if z.perfect {
 			// Carry forward the previous write's worst-case availability so
 			// that counter semantics (a read waits for ALL outstanding
 			// writes) still hold across back-to-back writers.
 			if w.written {
-				if carry := w.writeAt + z.maxLat[int(w.writer)]; carry > e.AvailableAt {
-					e.AvailableAt = carry
-				}
+				w.availableAt = max(w.availableAt, w.writeAt+z.maxLat[w.writer])
 			}
 			w.writeAt = now
-		} else if avail := now + L; avail > e.AvailableAt {
-			e.AvailableAt = avail
+		} else {
+			w.availableAt = max(w.availableAt, now+L)
+		}
+		if !w.written {
+			w.written = true
+			z.allocs++
 		}
 		w.writer = int32(n)
-		w.written = true
 		z.ctr.Updates++
 		z.ctr.NetworkCycles += uint64(L)
 	})
@@ -124,28 +128,20 @@ func (z *zmc) Read(p int, addr memsys.Addr, size int, now Time) Time {
 	n := z.node(p)
 	var stall Time
 	z.lines(addr, size, func(line memsys.Addr) {
-		e, ok := z.dir.Lookup(line * memsys.Addr(z.p.ZLineSize))
-		if !ok {
-			return
-		}
-		// The producer's node reads its own value locally.
+		// A line never written costs nothing, and the producer's node reads
+		// its own value locally.
 		w := z.wr.Peek(uint64(line))
-		wok := w != nil && w.written
-		if wok && int(w.writer) == n {
+		if w == nil || !w.written || int(w.writer) == n {
 			return
 		}
-		avail := e.AvailableAt
-		if z.perfect && wok {
+		avail := w.availableAt
+		if z.perfect {
 			// Perfect oracle: this consumer waits only for the datum's
 			// flight time from the producer to itself.
-			if t := w.writeAt + z.net.UncontendedLatency(int(w.writer), n, z.p.ZLineSize); t > avail {
-				avail = t
-			}
+			avail = max(avail, w.writeAt+z.net.UncontendedLatency(int(w.writer), n, z.p.ZLineSize))
 		}
 		if avail > now {
-			if s := avail - now; s > stall {
-				stall = s
-			}
+			stall = max(stall, avail-now)
 		}
 	})
 	if stall > 0 {
