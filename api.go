@@ -173,6 +173,10 @@ func NewI64(m *Machine, n int) I64 { return shm.NewI64(m.Heap, n) }
 // NewU64 allocates a shared uint64 array on m.
 func NewU64(m *Machine, n int) U64 { return shm.NewU64(m.Heap, n) }
 
+// ParseScale reads a problem scale by name, "small" or "paper", and
+// rejects any other value.
+func ParseScale(s string) (Scale, error) { return workload.ParseScale(s) }
+
 // NewBenchmark constructs one of the paper's applications ("cholesky",
 // "is", "maxflow", "nbody") at the given scale.
 func NewBenchmark(name string, scale Scale) (App, error) { return workload.NewApp(name, scale) }

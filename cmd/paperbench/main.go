@@ -54,6 +54,8 @@ func main() {
 
 	scalingProcs, err := parseProcsList(*scaling)
 	check(err)
+	sc, err := zsim.ParseScale(*scale)
+	check(err)
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	check(err)
@@ -69,7 +71,6 @@ func main() {
 	}
 
 	zsim.SetParallelism(*parallel)
-	sc := zsim.Scale(*scale)
 	params := zsim.DefaultParams(*procs)
 	emitTable := func(t *zsim.Table) {
 		switch {

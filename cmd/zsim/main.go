@@ -90,13 +90,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(err)
 		}
 	} else {
+		// DefaultMTParams panics on a thread count that does not divide
+		// the processors; report it as Params.Validate would.
+		if *threads <= 0 || *procs%*threads != 0 {
+			return fatal(fmt.Errorf("HWThreads = %d must divide Procs = %d", *threads, *procs))
+		}
 		params = zsim.DefaultMTParams(*procs, *threads)
 		params.Topology = *topo
 	}
 	if err := params.Validate(); err != nil {
 		return fatal(err)
 	}
-	sc := zsim.Scale(*scale)
+	sc, err := zsim.ParseScale(*scale)
+	if err != nil {
+		return fatal(err)
+	}
 
 	printMetrics := func() {
 		if *withMet {

@@ -64,3 +64,32 @@ func TestAllTitleUsesParamsProcs(t *testing.T) {
 		t.Fatalf("title %q does not name the 8-processor machine", first)
 	}
 }
+
+// TestBadMachineFlags: an unknown -scale and a -threads that does not
+// divide -procs fail like every other bad flag, with exit status 1, a
+// "zsim: ..." line on stderr and nothing on stdout, before anything runs.
+func TestBadMachineFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "smal"}, `unknown scale "smal"`},
+		{[]string{"-scale", "Paper", "-all"}, `unknown scale "Paper"`},
+		{[]string{"-threads", "3", "-procs", "16"}, "HWThreads = 3 must divide Procs = 16"},
+		{[]string{"-threads", "0"}, "HWThreads = 0 must divide Procs = 16"},
+		{[]string{"-threads", "-2"}, "HWThreads = -2 must divide Procs = 16"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run(tc.args, &stdout, &stderr); got != 1 {
+				t.Fatalf("exit status %d, want 1 (stderr: %s)", got, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("wrote to stdout:\n%s", stdout.String())
+			}
+			if msg := stderr.String(); !strings.HasPrefix(msg, "zsim: ") || !strings.Contains(msg, tc.want) {
+				t.Fatalf("stderr %q, want a zsim: line naming %q", msg, tc.want)
+			}
+		})
+	}
+}

@@ -22,11 +22,15 @@ func main() {
 	scale := flag.String("scale", "small", "problem scale: small | paper")
 	procs := flag.Int("procs", 16, "processors")
 	flag.Parse()
+	sc, err := zsim.ParseScale(*scale)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	params := zsim.DefaultParams(*procs)
 	fig := &zsim.Figure{Title: fmt.Sprintf("%s on %d processors (%s scale)", *app, *procs, *scale)}
 	for _, kind := range zsim.FigureKinds() {
-		res, err := zsim.RunBenchmark(*app, zsim.Scale(*scale), kind, params)
+		res, err := zsim.RunBenchmark(*app, sc, kind, params)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -37,9 +37,10 @@ func testNetworks() []testNetwork {
 	return out
 }
 
-// Send and Fan are called for every protocol message; once the buffer of
-// route runs has grown to the route with the most runs, they must never
-// allocate.
+// Send and Fan are called for every protocol message. Once a network of at
+// most tableNodes nodes has built its route table on its first message, or
+// a larger one's buffer of route runs has grown to the route with the most
+// runs, they must never allocate.
 func TestSendZeroAlloc(t *testing.T) {
 	for _, c := range testNetworks() {
 		t.Run(c.name, func(t *testing.T) {

@@ -14,6 +14,13 @@
 // link first still waits behind a booking that begins later, even while
 // the link is idle. ROADMAP's "Links that wait only while busy" measures
 // this and plans its replacement.
+//
+// A network of at most 64 nodes tabulates every route on its first message,
+// as a flat list of link ids, so a message walks its list in one loop and
+// routes nothing. A larger network, where the table would cost megabytes,
+// asks its Topology for each message's route as a few strided runs of link
+// ids. The table is built from those runs, so both walks book the same
+// links in the same order.
 package mesh
 
 import (
@@ -47,6 +54,13 @@ type Net struct {
 	// across messages under the same serialization as busy.
 	busy []Time
 	runs []Run
+
+	// On a network of at most tableNodes nodes, links and at tabulate
+	// every route on the first message: the route from s to d is
+	// links[at[s*nodes+d]:at[s*nodes+d+1]]. Both stay nil above the cutoff.
+	nodes int
+	links []int32
+	at    []int32
 
 	// Stats.
 	msgs     uint64
@@ -98,14 +112,42 @@ func New(p memsys.Params) *Net {
 		ctrlCycles:    memsys.LinkTransferCycles(p.LinkCyclesPerByte, ctrl),
 		dataCycles:    memsys.LinkTransferCycles(p.LinkCyclesPerByte, data),
 		busy:          make([]Time, topo.Links()),
+		nodes:         topo.Nodes(),
 	}
 }
+
+// tableNodes is the largest network whose routes a Net tabulates. At 64
+// nodes the table holds 4,096 routes in about 100 KiB. At 256 it takes
+// 2.9 MiB and did not speed up zbench's manycore workload (DESIGN.md §10);
+// at 1024 it would need about 90 MB. Larger networks route each message
+// with Topology.Route.
+const tableNodes = 64
 
 // route returns the links of the route from src to dst. The slice is valid
 // until the next call.
 func (n *Net) route(src, dst int) []Run {
 	n.runs = n.topo.Route(n.runs[:0], src, dst)
 	return n.runs
+}
+
+// tabulate builds the route table: links holds every route's link ids,
+// route after route in (src, dst) order, and at[i] where route i begins.
+// Hops sizes both slices exactly, so the build makes one allocation per
+// slice and none per route.
+func (n *Net) tabulate() {
+	at := make([]int32, n.nodes*n.nodes+1)
+	for i := range n.nodes * n.nodes {
+		at[i+1] = at[i] + int32(n.topo.Hops(i/n.nodes, i%n.nodes))
+	}
+	links := make([]int32, 0, at[len(at)-1])
+	for i := range n.nodes * n.nodes {
+		for _, r := range n.route(i/n.nodes, i%n.nodes) {
+			for k, l := int32(0), r.First; k < r.Len; k, l = k+1, l+r.Stride {
+				links = append(links, l)
+			}
+		}
+	}
+	n.links, n.at = links, at
 }
 
 // transfer returns the per-link occupancy of a message of the given size.
@@ -126,8 +168,8 @@ func (n *Net) Topology() Topology { return n.topo }
 func (n *Net) Hops(src, dst int) int { return n.topo.Hops(src, dst) }
 
 // Path returns the sequence of nodes visited from src to dst, inclusive of
-// both endpoints. It allocates; the transfer hot path (Send) uses
-// Topology.Route instead.
+// both endpoints. It allocates; Send walks the route table or
+// Topology.Route's runs instead.
 func (n *Net) Path(src, dst int) []int { return Path(n.topo, src, dst) }
 
 // Send injects a message of the given size from src to dst at time start and
@@ -139,7 +181,7 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 		return start
 	}
 	transfer := n.transfer(bytes)
-	t, queued, hops := walk(n.busy, n.route(src, dst), n.hopLatency, transfer, start)
+	t, queued, hops := n.walk(src, dst, transfer, start)
 	if n.mHops != nil && metrics.Enabled() {
 		n.mHops.Observe(uint64(hops))
 	}
@@ -161,7 +203,6 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 func (n *Net) Fan(src int, dsts []int, out, back int, t Time) Time {
 	outT, backT := n.transfer(out), n.transfer(back)
 	observe := n.mHops != nil && metrics.Enabled()
-	busy, hop := n.busy, n.hopLatency
 	latest := t
 	var trips uint64
 	var queued Time
@@ -170,8 +211,8 @@ func (n *Net) Fan(src int, dsts []int, out, back int, t Time) Time {
 		if d == src {
 			continue
 		}
-		at, q1, h1 := walk(busy, n.route(src, d), hop, outT, t)
-		r, q2, h2 := walk(busy, n.route(d, src), hop, backT, at)
+		at, q1, h1 := n.walk(src, d, outT, t)
+		r, q2, h2 := n.walk(d, src, backT, at)
 		if observe {
 			n.mHops.Observe(uint64(h1))
 			n.mHops.Observe(uint64(h2))
@@ -189,30 +230,51 @@ func (n *Net) Fan(src int, dsts []int, out, back int, t Time) Time {
 	return latest
 }
 
-// walk books the links of one message's route, given as runs of link ids,
-// for a message that occupies each link for transfer cycles from its
-// injection at start. It returns the arrival time, the cycles the message
-// queued and its hop count, and leaves the statistics to its caller. It is
-// the link model Send and Fan share: each link's busy-until timestamp
-// delays the message until the link's last booking ends, and is then moved
-// past this message's transfer.
-func walk(busy []Time, runs []Run, hop, transfer, start Time) (t, queued Time, hops int32) {
+// walk books the links of the route from src to dst for a message that
+// occupies each link for transfer cycles from its injection at start. It
+// returns the arrival time, the cycles the message queued and its hop
+// count, and leaves the statistics to its caller. It is the one walk Send
+// and Fan share: a tabulated route is one flat loop over its link ids; above
+// tableNodes the route comes from Topology.Route as strided runs.
+func (n *Net) walk(src, dst int, transfer, start Time) (t, queued Time, hops int32) {
+	busy, hop := n.busy, n.hopLatency
 	t = start
-	for _, r := range runs {
-		l := r.First
-		for k := r.Len; k > 0; k-- {
-			begin := t + hop
-			if b := busy[l]; b > begin {
-				queued += b - begin
-				begin = b
+	if n.at == nil {
+		if n.nodes > tableNodes {
+			for _, r := range n.route(src, dst) {
+				l := r.First
+				for k := r.Len; k > 0; k-- {
+					t = book(busy, l, hop, transfer, t, &queued)
+					l += r.Stride
+				}
+				hops += r.Len
 			}
-			t = begin + transfer
-			busy[l] = t
-			l += r.Stride
+			return t, queued, hops
 		}
-		hops += r.Len
+		n.tabulate()
 	}
-	return t, queued, hops
+	i := src*n.nodes + dst
+	links := n.links[n.at[i]:n.at[i+1]]
+	for _, l := range links {
+		t = book(busy, l, hop, transfer, t, &queued)
+	}
+	return t, queued, int32(len(links))
+}
+
+// book books link l for a message that reaches it at t, adds the cycles
+// the message waits for the link to *queued, and returns when the message
+// has crossed it. It is the link model: the link's busy-until time delays
+// the message until the link's last booking ends, and is then moved past
+// this message's transfer.
+func book(busy []Time, l int32, hop, transfer, t Time, queued *Time) Time {
+	begin := t + hop
+	if b := busy[l]; b > begin {
+		*queued += b - begin
+		begin = b
+	}
+	t = begin + transfer
+	busy[l] = t
+	return t
 }
 
 // UncontendedLatency returns the latency a message would see on an idle

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -190,14 +191,17 @@ func TestStatsAccumulate(t *testing.T) {
 // BenchmarkSend times one control message between random distinct nodes on
 // the 4×4 mesh, the 8×8 mesh (the shape of zbench's coherence workload) and
 // the 32×32 mesh (its manycore workload's). Each message starts when the
-// last one arrived, so none of these queues.
+// last one arrived, so none of these queues. The 4×4 and 8×8 meshes walk
+// tabulated routes and the 32×32 mesh strided runs; every network sends one
+// message before the timer starts, so the table's build is not timed.
 //
 // fanout/8x8 is one write-update transaction of the kind that dominates
 // coherence's traffic (upd.updateTxn), booked with one Fan call as the
 // protocol does: a home sends a data message to every other node of the
-// 8×8 mesh at the same start time and each node acks with a control
-// message, so the fan-out and the acks contend on the links around the
-// home. Its ns/op is per message.
+// mesh at the same start time and each node acks with a control message,
+// so the fan-out and the acks contend on the links around the home.
+// fanout/32x32 is the same transaction on the untabulated mesh. Their
+// ns/op is per message.
 func BenchmarkSend(b *testing.B) {
 	for _, procs := range []int{16, 64, 1024} {
 		p := memsys.Default(procs)
@@ -210,32 +214,34 @@ func BenchmarkSend(b *testing.B) {
 				src[i] = rng.Intn(procs)
 				dst[i] = (src[i] + 1 + rng.Intn(procs-1)) % procs
 			}
+			t := n.Send(src[0], dst[0], p.CtrlBytes, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
-			var t Time
 			for i := 0; i < b.N; i++ {
 				j := i & (pairs - 1)
 				t = n.Send(src[j], dst[j], p.CtrlBytes, t)
 			}
 		})
 	}
-	b.Run("fanout/8x8", func(b *testing.B) {
-		p := memsys.Default(64)
-		n := New(p)
-		nodes := p.Nodes()
-		data := p.HeaderBytes + p.LineSize
-		dsts := make([]int, nodes)
-		for i := range dsts {
-			dsts[i] = i // Fan skips the home
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var t Time
-		for i, home := 0, 0; i < b.N; home = (home + 1) & (nodes - 1) {
-			t = n.Fan(home, dsts, data, p.CtrlBytes, t)
-			i += 2 * (nodes - 1)
-		}
-	})
+	for _, procs := range []int{64, 1024} {
+		p := memsys.Default(procs)
+		b.Run(fmt.Sprintf("fanout/%dx%d", p.MeshW, p.MeshH), func(b *testing.B) {
+			n := New(p)
+			nodes := p.Nodes()
+			data := p.HeaderBytes + p.LineSize
+			dsts := make([]int, nodes)
+			for i := range dsts {
+				dsts[i] = i // Fan skips the home
+			}
+			t := n.Send(0, 1, p.CtrlBytes, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, home := 0, 0; i < b.N; home = (home + 1) & (nodes - 1) {
+				t = n.Fan(home, dsts, data, p.CtrlBytes, t)
+				i += 2 * (nodes - 1)
+			}
+		})
+	}
 }
 
 // TestFanMatchesSends pins Fan to its definition: each round trip books
@@ -307,5 +313,62 @@ func TestFanMatchesSends(t *testing.T) {
 				t.Fatalf("mesh.hops: Fan %+v, Sends %+v", fh, th)
 			}
 		})
+	}
+}
+
+// TestLinkTableMatchesRoute pins the route table to Route, and so, with
+// TestRouteMatchesNextHop, to NextHop. After a network's first Send, the
+// table is sized exactly and each pair's tabulated links are its Route
+// runs expanded: on every topology at 16 and 64 nodes, and on the torus
+// shapes whose legs wrap differently (TestRouteMatchesNextHop's).
+func TestLinkTableMatchesRoute(t *testing.T) {
+	type shape struct {
+		topo string
+		w, h int
+	}
+	var shapes []shape
+	for _, name := range allTopos() {
+		shapes = append(shapes, shape{name, 4, 4}, shape{name, 8, 8})
+	}
+	shapes = append(shapes, shape{"torus", 4, 2}, shape{"torus", 2, 1}, shape{"torus", 5, 3}, shape{"torus", 7, 6})
+	for _, sh := range shapes {
+		name, nodes := fmt.Sprintf("%s %dx%d", sh.topo, sh.w, sh.h), sh.w*sh.h
+		p := memsys.Default(nodes)
+		p.Topology, p.MeshW, p.MeshH = sh.topo, sh.w, sh.h
+		n := New(p)
+		n.Send(0, nodes-1, p.CtrlBytes, 0)
+		if len(n.at) != nodes*nodes+1 || int(n.at[nodes*nodes]) != len(n.links) || cap(n.links) != len(n.links) {
+			t.Fatalf("%s: table of %d offsets and %d links (cap %d) after the first Send", name, len(n.at), len(n.links), cap(n.links))
+		}
+		var runs []Run
+		var want []int32
+		for s := 0; s < nodes; s++ {
+			for d := 0; d < nodes; d++ {
+				runs = n.topo.Route(runs[:0], s, d)
+				want = want[:0]
+				for _, r := range runs {
+					for k, l := int32(0), r.First; k < r.Len; k, l = k+1, l+r.Stride {
+						want = append(want, l)
+					}
+				}
+				i := s*nodes + d
+				if got := n.links[n.at[i]:n.at[i+1]]; !slices.Equal(got, want) {
+					t.Fatalf("%s: route %d->%d tabulated as %v, Route gives %v", name, s, d, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWideMeshBuildsNoTable: above tableNodes, Send and Fan walk Route's
+// runs and never build a route table.
+func TestWideMeshBuildsNoTable(t *testing.T) {
+	p := memsys.Default(1024)
+	n := New(p)
+	last := p.Nodes() - 1
+	at := n.Send(0, last, p.CtrlBytes, 0)
+	n.Fan(3, []int{1, 3, last}, p.HeaderBytes+p.LineSize, p.CtrlBytes, at)
+	if n.links != nil || n.at != nil {
+		t.Fatalf("the %d-node mesh built a table of %d offsets and %d links", p.Nodes(), len(n.at), len(n.links))
 	}
 }

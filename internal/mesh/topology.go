@@ -13,11 +13,13 @@ import (
 // per-hop latency, and contention.
 //
 // Every topology numbers its links densely in [0, Links()), so Net keeps
-// one busy-until slot per link. Route, the per-message hot path, computes
-// the whole route once, as a few strided runs of link ids, into a
-// caller-owned buffer. NextHop is the readable routing specification:
-// Route visits the same links in the same order (TestRouteMatchesNextHop),
-// and Path builds on NextHop for tests and debugging.
+// one busy-until slot per link. Route computes the whole route once, as a
+// few strided runs of link ids, into a caller-owned buffer. It is the
+// per-message hot path only on networks above Net's table cutoff (64
+// nodes); a smaller Net expands every route's runs into its route table
+// once. NextHop is the readable routing specification: Route visits the
+// same links in the same order (TestRouteMatchesNextHop), and Path builds
+// on NextHop for tests and debugging.
 type Topology interface {
 	// Name identifies the topology.
 	Name() string
@@ -48,8 +50,8 @@ type Run struct {
 }
 
 // Path returns the nodes visited from src to dst, inclusive, by walking
-// NextHop. Routing itself (Net.Send) uses Route; Path exists for tests and
-// debugging.
+// NextHop. Routing itself (Net.Send) uses Route, directly or through the
+// route table; Path exists for tests and debugging.
 func Path(t Topology, src, dst int) []int {
 	path := []int{src}
 	for cur := src; cur != dst; {

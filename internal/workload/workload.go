@@ -30,6 +30,17 @@ const (
 	ScaleSmall Scale = "small"
 )
 
+// ParseScale reads a problem scale by name, "small" or "paper", and
+// rejects any other value, so that a misspelt scale never runs the wrong
+// problem size.
+func ParseScale(s string) (Scale, error) {
+	switch sc := Scale(s); sc {
+	case ScaleSmall, ScalePaper:
+		return sc, nil
+	}
+	return "", fmt.Errorf("workload: unknown scale %q (want %q or %q)", s, ScaleSmall, ScalePaper)
+}
+
 // AppNames lists the four applications in figure order (Figure 2..5).
 func AppNames() []string { return []string{"cholesky", "is", "maxflow", "nbody"} }
 

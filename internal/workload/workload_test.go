@@ -36,6 +36,21 @@ func run(t *testing.T, app string, kind memsys.Kind) *stats.Result {
 	return r
 }
 
+// TestParseScale: the two scale names parse to their constants, and every
+// other value, a misspelling or a different case, is an unknown scale.
+func TestParseScale(t *testing.T) {
+	for s, want := range map[string]Scale{"small": ScaleSmall, "paper": ScalePaper} {
+		if got, err := ParseScale(s); got != want || err != nil {
+			t.Errorf("ParseScale(%q) = %q, %v; want %q", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"smal", "Paper", "SMALL", "", "huge"} {
+		if got, err := ParseScale(s); err == nil || !strings.Contains(err.Error(), "unknown scale") {
+			t.Errorf("ParseScale(%q) = %q, %v; want an unknown-scale error", s, got, err)
+		}
+	}
+}
+
 func TestUnknownApp(t *testing.T) {
 	if _, err := NewApp("doom", ScaleSmall); err == nil {
 		t.Fatal("expected error")

@@ -90,14 +90,13 @@ func resolve(spec CellSpec) (cell, error) {
 			return cell{}, err
 		}
 	}
-	scale := spec.Scale
-	if scale == "" {
-		scale = string(workload.ScaleSmall)
+	if spec.Scale == "" {
+		spec.Scale = string(workload.ScaleSmall)
 	}
-	if scale != string(workload.ScaleSmall) && scale != string(workload.ScalePaper) {
-		return cell{}, fmt.Errorf("zsimd: unknown scale %q (want %q or %q)", scale, workload.ScaleSmall, workload.ScalePaper)
+	scale, err := workload.ParseScale(spec.Scale)
+	if err != nil {
+		return cell{}, err
 	}
-	spec.Scale = scale
 	switch spec.Type {
 	case TypeExperiment:
 		if _, err := workload.FindExperiment(spec.Experiment); err != nil {
@@ -105,7 +104,7 @@ func resolve(spec CellSpec) (cell, error) {
 		}
 		spec.App, spec.System, spec.Seed = "", "", 0
 	case TypeBenchmark:
-		if _, err := workload.NewApp(spec.App, workload.Scale(scale)); err != nil {
+		if _, err := workload.NewApp(spec.App, scale); err != nil {
 			return cell{}, err
 		}
 		if !knownKind(memsys.Kind(spec.System)) {
