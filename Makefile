@@ -40,12 +40,12 @@ conformance:
 	$(GO) run ./cmd/paperbench -conformance
 
 # The perf-trajectory benchmarks: the kernel hot loop (fast-path Sync cost
-# vs the coroutine-handoff worst case among 2 and 64 processors) and the
-# grid benchmarks (litmus suite and full figure matrix at increasing
-# worker-pool bounds). zbench (`bash bench/run.sh`) is the paired
-# end-to-end measurement.
+# vs coroutine handoffs among 2 and 64 processors in lockstep and among 64
+# and 1,024 at random run-queue depths) and the grid benchmarks (litmus
+# suite and full figure matrix at increasing worker-pool bounds). zbench
+# (`bash bench/run.sh`) is the paired end-to-end measurement.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineHotLoop|BenchmarkSyncRoundtrip' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineHotLoop|BenchmarkSync' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkLitmusSuite|BenchmarkFigureGrid' -benchmem .
 
 # Every benchmark in the repository (slow).

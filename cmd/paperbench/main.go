@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,37 +33,63 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one paperbench command line, writing results to stdout and
+// diagnostics to stderr, and returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scale    = flag.String("scale", "small", "problem scale: small | paper")
-		procs    = flag.Int("procs", 16, "number of processors")
-		fig      = flag.Int("fig", 0, "regenerate only this figure (2-5)")
-		table    = flag.Int("table", 0, "regenerate only this table (1)")
-		csv      = flag.Bool("csv", false, "emit tables as CSV")
-		md       = flag.Bool("md", false, "emit tables as markdown")
-		svgDir   = flag.String("svg", "", "also write each figure as an SVG into this directory")
-		expID    = flag.String("exp", "", "run a single experiment by ID (E1..E20, S1..S4)")
-		scaling  = flag.String("scaling-procs", "", "comma-separated machine sizes for the S-family scalability experiments (empty = 64,256,1024)")
-		list     = flag.Bool("list", false, "list the experiment index and exit")
-		claims   = flag.Bool("claims", false, "machine-check the paper's claims and print the verdicts")
-		matrix   = flag.Bool("matrix", false, "print the overhead%% matrix: every app on every system")
-		conf     = flag.Bool("conformance", false, "run every app on every system with the conformance checker")
-		parallel = flag.Int("parallel", runtime.NumCPU(), "max simulations run concurrently (1 = serial; output is identical at any setting)")
-		withMet  = flag.Bool("metrics", false, "collect and print the global metrics snapshot")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile (post-GC snapshot) to this file on exit")
+		scale    = fs.String("scale", "small", "problem scale: small | paper")
+		procs    = fs.Int("procs", 16, "number of processors")
+		fig      = fs.Int("fig", 0, "regenerate only this figure (2-5)")
+		table    = fs.Int("table", 0, "regenerate only this table (1)")
+		csv      = fs.Bool("csv", false, "emit tables as CSV")
+		md       = fs.Bool("md", false, "emit tables as markdown")
+		svgDir   = fs.String("svg", "", "also write each figure as an SVG into this directory")
+		expID    = fs.String("exp", "", "run a single experiment by ID (E1..E20, S1..S4)")
+		scaling  = fs.String("scaling-procs", "", "comma-separated machine sizes for the S-family scalability experiments (empty = 64,256,1024)")
+		list     = fs.Bool("list", false, "list the experiment index and exit")
+		claims   = fs.Bool("claims", false, "machine-check the paper's claims and print the verdicts")
+		matrix   = fs.Bool("matrix", false, "print the overhead% matrix: every app on every system")
+		conf     = fs.Bool("conformance", false, "run every app on every system with the conformance checker")
+		parallel = fs.Int("parallel", runtime.NumCPU(), "max simulations run concurrently (1 = serial; output is identical at any setting)")
+		withMet  = fs.Bool("metrics", false, "collect and print the global metrics snapshot")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile (post-GC snapshot) to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "paperbench:", err)
+		return 1
+	}
 
 	scalingProcs, err := parseProcsList(*scaling)
-	check(err)
+	if err != nil {
+		return fatal(err)
+	}
 	sc, err := zsim.ParseScale(*scale)
-	check(err)
+	if err != nil {
+		return fatal(err)
+	}
+	if *table != 0 && *table != 1 {
+		return fatal(fmt.Errorf("no table %d in the paper (want 1)", *table))
+	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
-	check(err)
+	if err != nil {
+		return fatal(err)
+	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench: profile:", err)
+			fmt.Fprintln(stderr, "paperbench: profile:", err)
 		}
 	}()
 
@@ -75,94 +103,124 @@ func main() {
 	emitTable := func(t *zsim.Table) {
 		switch {
 		case *csv:
-			fmt.Print(t.CSV())
+			fmt.Fprint(stdout, t.CSV())
 		case *md:
-			fmt.Print(t.Markdown())
+			fmt.Fprint(stdout, t.Markdown())
 		default:
-			fmt.Print(t.Render())
+			fmt.Fprint(stdout, t.Render())
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	emitArtifact := func(id string, art interface {
 		Render() string
 		Markdown() string
-	}) {
+	}) error {
 		if t, ok := art.(*zsim.Table); ok {
 			emitTable(t)
-			return
+			return nil
 		}
 		// Figures have no CSV form.
 		if *md {
-			fmt.Print(art.Markdown())
+			fmt.Fprint(stdout, art.Markdown())
 		} else {
-			fmt.Print(art.Render())
+			fmt.Fprint(stdout, art.Render())
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if f, ok := art.(*zsim.Figure); ok && *svgDir != "" {
 			path := filepath.Join(*svgDir, fmt.Sprintf("%s.svg", id))
-			check(os.WriteFile(path, []byte(f.SVG()), 0o644))
-			fmt.Printf("wrote %s\n\n", path)
+			if err := os.WriteFile(path, []byte(f.SVG()), 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s\n\n", path)
 		}
+		return nil
 	}
-	runClaims := func() bool {
+	runClaims := func() (bool, error) {
 		t, allOK, err := zsim.EvaluateClaims(sc, params)
-		check(err)
+		if err != nil {
+			return false, err
+		}
 		emitTable(t)
-		return allOK
+		return allOK, nil
 	}
 
 	ok := true
 	switch {
 	case *conf:
 		t, pass, err := zsim.ConformanceSweep(sc, params)
-		check(err)
+		if err != nil {
+			return fatal(err)
+		}
 		emitTable(t)
 		ok = pass
 	case *matrix:
 		t, err := zsim.SummaryMatrix(sc, params)
-		check(err)
+		if err != nil {
+			return fatal(err)
+		}
 		emitTable(t)
 	case *claims:
-		ok = runClaims()
+		if ok, err = runClaims(); err != nil {
+			return fatal(err)
+		}
 	case *list:
 		for _, e := range zsim.Experiments() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
 		for _, e := range zsim.ScalingExperiments(scalingProcs) {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
 	case *expID != "":
 		e, err := zsim.FindExperimentScaled(*expID, scalingProcs)
-		check(err)
+		if err != nil {
+			return fatal(err)
+		}
 		art, err := e.Run(sc, params)
-		check(err)
-		emitArtifact(e.ID, art)
+		if err != nil {
+			return fatal(err)
+		}
+		if err := emitArtifact(e.ID, art); err != nil {
+			return fatal(err)
+		}
 	case *fig != 0:
 		f, err := zsim.PaperFigure(*fig, sc, params)
-		check(err)
-		emitArtifact(fmt.Sprintf("figure%d", *fig), f)
+		if err != nil {
+			return fatal(err)
+		}
+		if err := emitArtifact(fmt.Sprintf("figure%d", *fig), f); err != nil {
+			return fatal(err)
+		}
 	case *table == 1:
 		t, _, err := zsim.PaperTable1(sc, params)
-		check(err)
+		if err != nil {
+			return fatal(err)
+		}
 		emitTable(t)
 	default:
 		// The complete regeneration: every indexed experiment, then the
 		// machine-checked claim verdicts.
 		for _, e := range zsim.Experiments() {
-			fmt.Printf("--- %s: %s ---\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "--- %s: %s ---\n", e.ID, e.Title)
 			art, err := e.Run(sc, params)
-			check(err)
-			emitArtifact(e.ID, art)
+			if err != nil {
+				return fatal(err)
+			}
+			if err := emitArtifact(e.ID, art); err != nil {
+				return fatal(err)
+			}
 		}
-		ok = runClaims()
+		if ok, err = runClaims(); err != nil {
+			return fatal(err)
+		}
 	}
 	if *withMet {
-		fmt.Println("--- metrics ---")
-		fmt.Print(zsim.GlobalMetrics().String())
+		fmt.Fprintln(stdout, "--- metrics ---")
+		fmt.Fprint(stdout, zsim.GlobalMetrics().String())
 	}
 	if !ok {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // parseProcsList parses a comma-separated machine-size list ("64,256"); an
@@ -180,11 +238,4 @@ func parseProcsList(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		os.Exit(1)
-	}
 }

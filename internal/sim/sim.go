@@ -11,7 +11,9 @@
 // which hands control back to the engine. The engine always resumes the
 // runnable processor with the smallest clock (ties broken by processor id),
 // so globally visible operations execute in nondecreasing virtual-time order
-// and a simulation is deterministic and reproducible.
+// and a simulation is deterministic and reproducible. The run queue (runq.go)
+// packs each runnable processor's (clock, id) into one uint64 key, so that
+// order is a single unsigned compare.
 package sim
 
 import (
@@ -84,18 +86,19 @@ func (p *Proc) trap(k yieldKind) {
 // returning and the next yield no other processor runs, so the operation is
 // atomic at the processor's current clock.
 //
-// Fast path: exactly one body runs at a time, so if the caller's clock is
-// still ahead of no runnable processor — it would be popped right back off
-// the run queue — the coroutine switches to the engine and back are skipped
-// entirely. The schedule is bit-identical to the slow path's: the engine
-// would have resumed this processor next in either case, by the same
-// (clock, id) order.
+// Fast path: exactly one body runs at a time, so if the caller sorts before
+// the run queue's root — it would be popped right back off the run queue —
+// the coroutine switches to the engine and back are skipped entirely. An
+// empty queue's root sorts after every processor, so a lone runnable
+// processor always takes the fast path. The schedule is
+// bit-identical to the slow path's: the engine would have resumed this
+// processor next in either case, by the same (clock, id) order.
 func (p *Proc) Sync() {
 	e := p.eng
 	if e.aborting {
 		panic(abortRun{})
 	}
-	if len(e.runq) == 0 || procLess(p, e.runq[0]) {
+	if e.runq.first(p) {
 		e.fastPathHits++
 		return
 	}
@@ -125,12 +128,16 @@ func (p *Proc) Unblock(t Time) {
 			// the engine has already forced out; let the unwind proceed.
 			return
 		}
-		panic(fmt.Sprintf("sim: Unblock of runnable processor %d", p.id))
+		state := "runnable"
+		if p.done {
+			state = "finished"
+		}
+		panic(fmt.Sprintf("sim: Unblock of %s processor %d", state, p.id))
 	}
 	p.blocked = false
 	p.blockReason = ""
 	p.AdvanceTo(t)
-	e.push(p)
+	e.runq.push(e.runq.key(p))
 }
 
 // Blocked reports whether the processor is currently parked.
@@ -144,7 +151,7 @@ type abortRun struct{}
 // Engine schedules a fixed set of simulated processors.
 type Engine struct {
 	procs []*Proc
-	runq  procHeap
+	runq  runQueue
 	// aborting is set while teardown stops the unfinished coroutines: Sync
 	// and Block panic(abortRun{}) instead of trapping, and Unblock
 	// tolerates the stale state deferred releases see.
@@ -192,7 +199,7 @@ func NewEngine(n int) *Engine {
 	}
 	e := &Engine{
 		procs: make([]*Proc, 0, n),
-		runq:  make(procHeap, 0, n),
+		runq:  newRunQueue(n),
 	}
 	for i := 0; i < n; i++ {
 		e.procs = append(e.procs, &Proc{id: i, eng: e})
@@ -206,44 +213,52 @@ func (e *Engine) NumProcs() int { return len(e.procs) }
 // Proc returns processor i.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
-func (e *Engine) push(p *Proc) { e.runq.push(p) }
-
 // Run executes body on every processor (as coroutines that run one at a
 // time) and returns the maximum finishing clock, i.e. the parallel
 // execution time. Run panics with a state dump if the simulation deadlocks
 // (all unfinished processors blocked). A panic in a body reaches the caller
 // of Run with its original value. Either way every other body is unwound
 // first, so its defers run, and the engine stays reusable.
+//
+// A body that yields runnable re-enters the run queue and the next
+// processor leaves it in one replace: the body's Sync took the slow path,
+// so its key sorts after the root, and pushing it then popping the root
+// would give the same result in two passes. Run also panics, naming the
+// processor, if a clock grows past what a run-queue key can hold.
 func (e *Engine) Run(body func(p *Proc)) Time {
-	e.runq = e.runq[:0]
+	q := &e.runq
+	q.reset()
 	e.start(body)
 	defer e.contain()
 	for _, p := range e.procs {
-		e.push(p)
+		q.push(q.key(p))
 	}
 	remaining := len(e.procs)
 	var finish Time
-	for remaining > 0 {
-		p, ok := e.runq.pop()
-		if !ok {
+	for k := q.pop(); ; {
+		if k == empty {
 			panic("sim: deadlock\n" + e.stateDump())
 		}
+		p := e.procs[q.id(k)]
 		e.switches++
-		e.mRunqDepth.Observe(uint64(len(e.runq)))
+		e.mRunqDepth.Observe(uint64(q.n))
 		switch kind, live := p.next(); {
 		case !live:
-			remaining--
 			if p.clock > finish {
 				finish = p.clock
 			}
+			if remaining--; remaining == 0 {
+				return finish
+			}
+			k = q.pop()
 		case kind == yieldBlocked:
 			e.blocks++
 			// Parked; an Unblock will re-queue it.
+			k = q.pop()
 		default:
-			e.push(p)
+			k = q.replace(q.key(p))
 		}
 	}
-	return finish
 }
 
 // start resets every processor and makes body its coroutine.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -173,6 +172,140 @@ func TestUnblockRunnablePanics(t *testing.T) {
 	})
 }
 
+// TestUnblockFinishedPanics: unblocking a processor whose body has
+// returned is a bug, and the panic must call it finished, not runnable.
+func TestUnblockFinishedPanics(t *testing.T) {
+	e := NewEngine(2)
+	e.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			return
+		}
+		p.Advance(5)
+		p.Sync() // P0 finishes at clock 0 first
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, "Unblock of finished processor 0") {
+				t.Errorf("Unblock of a finished processor panicked with %v", r)
+			}
+		}()
+		e.Proc(0).Unblock(p.Clock())
+	})
+}
+
+// TestClockPastKeyRangePanics: a clock that does not fit a run-queue key
+// makes Run panic with a message naming the processor and its clock, whether
+// the processor traps in Sync or is unblocked at that time, instead of
+// wrapping and sorting the processor too early.
+func TestClockPastKeyRangePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		procs int
+		named int // the processor the panic must name
+		body  func(e *Engine, big Time) func(p *Proc)
+	}{
+		{"sync", 2, 1, func(e *Engine, big Time) func(p *Proc) {
+			return func(p *Proc) {
+				if p.ID() == 1 {
+					p.AdvanceTo(big)
+					p.Sync()
+				}
+			}
+		}},
+		{"lone-sync", 1, 0, func(e *Engine, big Time) func(p *Proc) {
+			return func(p *Proc) {
+				p.AdvanceTo(big)
+				p.Sync()
+				t.Error("a lone processor's Sync returned with a clock past the key range")
+			}
+		}},
+		{"unblock", 2, 0, func(e *Engine, big Time) func(p *Proc) {
+			return func(p *Proc) {
+				if p.ID() == 0 {
+					p.Block("wait")
+					return
+				}
+				p.Advance(1)
+				p.Sync()
+				e.Proc(0).Unblock(big)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(tc.procs)
+			big := e.runq.limit
+			r := runRecovered(e, tc.body(e, big))
+			msg, _ := r.(string)
+			want := fmt.Sprintf("processor %d's clock %d is past the run queue's key range", tc.named, big)
+			if !strings.Contains(msg, want) {
+				t.Fatalf("Run panicked with %v, want a message containing %q", r, want)
+			}
+			if f := e.Run(func(p *Proc) { p.Advance(3); p.Sync() }); f != 3 {
+				t.Fatalf("engine not reusable after the guard's panic: finish = %d, want 3", f)
+			}
+		})
+	}
+}
+
+// TestDispatchOracle checks the dispatch rule itself, not just its
+// consequences: whenever Sync or Block returns, the running processor
+// precedes every other runnable, unfinished processor under (clock, id),
+// found by scanning every processor. Bodies advance by random amounts, and
+// some block until another processor unblocks them.
+func TestDispatchOracle(t *testing.T) {
+	for _, procs := range []int{1, 2, 3, 64, 1024} {
+		e := NewEngine(procs)
+		rng := rand.New(rand.NewSource(int64(procs)))
+		var waiters []*Proc
+		runnable := procs
+		steps := 40
+		if procs > 64 {
+			steps = 8
+		}
+		var violation string // the first one; the bodies run off the test goroutine
+		check := func(p *Proc, after string) {
+			for _, o := range e.procs {
+				if violation != "" || o == p || o.done || o.blocked {
+					continue
+				}
+				if o.clock < p.clock || o.clock == p.clock && o.id < p.id {
+					violation = fmt.Sprintf("%d procs: P%d runs at %d after %s, but P%d is runnable at %d",
+						procs, p.id, p.clock, after, o.id, o.clock)
+				}
+			}
+		}
+		e.Run(func(p *Proc) {
+			defer func() {
+				runnable--
+				for _, w := range waiters {
+					w.Unblock(p.Clock())
+				}
+				runnable += len(waiters)
+				waiters = waiters[:0]
+			}()
+			for i := 0; i < steps; i++ {
+				p.Advance(Time(rng.Intn(3) * rng.Intn(20)))
+				p.Sync()
+				check(p, "Sync")
+				switch r := rng.Intn(8); {
+				case r == 0 && len(waiters) > 0:
+					w := waiters[0]
+					waiters = waiters[1:]
+					runnable++
+					w.Unblock(p.Clock() + Time(rng.Intn(10)))
+				case r == 1 && runnable > 1:
+					waiters = append(waiters, p)
+					runnable--
+					p.Block("oracle")
+					check(p, "Block")
+				}
+			}
+		})
+		if violation != "" {
+			t.Fatal(violation)
+		}
+	}
+}
+
 func TestRunTwiceResetsState(t *testing.T) {
 	e := NewEngine(3)
 	f1 := e.Run(func(p *Proc) { p.Advance(10) })
@@ -212,44 +345,6 @@ func TestOneRunnerAtATime(t *testing.T) {
 			p.Sync()
 		}
 	})
-}
-
-// Property: the heap pops processors in (clock, id) order.
-func TestHeapOrderProperty(t *testing.T) {
-	f := func(clocks []uint16) bool {
-		if len(clocks) == 0 {
-			return true
-		}
-		var h procHeap
-		for i, c := range clocks {
-			h.push(&Proc{id: i, clock: Time(c)})
-		}
-		prev, ok := h.pop()
-		if !ok {
-			return false
-		}
-		for {
-			next, ok := h.pop()
-			if !ok {
-				break
-			}
-			if procLess(next, prev) {
-				return false
-			}
-			prev = next
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHeapPopEmpty(t *testing.T) {
-	var h procHeap
-	if _, ok := h.pop(); ok {
-		t.Fatal("pop of empty heap returned ok")
-	}
 }
 
 // TestFastPathCountsHits: a lone runnable processor (or one strictly behind
@@ -485,6 +580,34 @@ func BenchmarkSyncRoundtrip(b *testing.B) {
 // handoff a 64-processor machine run pays on nearly every trap.
 func BenchmarkSyncRoundtrip64(b *testing.B) {
 	benchmarkRoundRobin(b, 64)
+}
+
+// BenchmarkSyncRandom times Sync among 64 and 1,024 processors that
+// advance by seeded random amounts of 1–64 cycles, so a yielding processor
+// lands at varied depths of the run queue rather than always last, as in
+// BenchmarkSyncRoundtrip64. Some Syncs take the fast path; fastpath_frac
+// reports their share.
+func BenchmarkSyncRandom(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			advance := make([]Time, 4096)
+			for i := range advance {
+				advance[i] = Time(1 + rng.Intn(64))
+			}
+			e := NewEngine(n)
+			next := 0
+			b.ResetTimer()
+			e.Run(func(p *Proc) {
+				for i := 0; i < b.N/n+1; i++ {
+					p.Advance(advance[next%len(advance)])
+					next++
+					p.Sync()
+				}
+			})
+			b.ReportMetric(float64(e.FastPathHits())/float64(e.FastPathHits()+e.Switches()), "fastpath_frac")
+		})
+	}
 }
 
 // benchmarkRoundRobin runs b.N slow-path Syncs spread over n processors
