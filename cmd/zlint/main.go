@@ -1,14 +1,16 @@
 // Command zlint runs the project-native static-analysis suite that
 // enforces the simulator's determinism and concurrency invariants:
 //
-//	zlint ./...                    lint every package in the module
+//	zlint ./... ./bench/...        lint every package, the bench module too
 //	zlint ./internal/sim           lint one package
 //	zlint -list                    describe the analyzers and exit
 //	zlint -json ./...              findings as a JSON array
 //
-// Findings are printed one per line as "file:line: analyzer: message" and
-// the exit status is nonzero when any unsuppressed finding remains. A
-// finding is suppressed with a trailing or preceding comment
+// Patterns follow the go tool and resolve against the working directory;
+// one that matches no package exits 2. Findings are printed one per line
+// as "file:line: analyzer: message", the file relative to the module root,
+// and any unsuppressed finding exits 1. A finding is suppressed with a
+// trailing or preceding comment
 //
 //	//zlint:ignore <analyzer> <reason>
 //
@@ -18,8 +20,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -38,13 +42,30 @@ type jsonFinding struct {
 }
 
 func main() {
-	list := flag.Bool("list", false, "describe the analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array (stable field order, one object per finding)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: zlint [-list] [-json] [packages]\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one zlint command line, writing findings to stdout and
+// diagnostics to stderr, and returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("zlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "describe the analyzers and exit")
+	asJSON := fs.Bool("json", false, "emit findings as a JSON array (stable field order, one object per finding)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: zlint [-list] [-json] [packages]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "zlint:", err)
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.Analyzers {
@@ -52,28 +73,23 @@ func main() {
 			if a.ZoneOnly {
 				scope = "deterministic zone"
 			}
-			fmt.Printf("%-10s %-18s %s\n", a.Name, "("+scope+")", a.Doc)
+			fmt.Fprintf(stdout, "%-10s %-18s %s\n", a.Name, "("+scope+")", a.Doc)
 		}
-		return
+		return 0
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	cwd, err := os.Getwd()
+	root, err := lint.FindModuleRoot(".")
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	root, err := lint.FindModuleRoot(cwd)
+	pkgs, err := lint.Load(".", patterns)
 	if err != nil {
-		fatal(err)
-	}
-
-	pkgs, err := lint.NewLoader().Load(root, patterns)
-	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	findings := lint.Run(pkgs)
@@ -92,23 +108,19 @@ func main() {
 				Analyzer: f.Analyzer, Message: f.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "zlint: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "zlint: %d finding(s)\n", len(findings))
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "zlint:", err)
-	os.Exit(2)
+	return 0
 }

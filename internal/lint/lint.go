@@ -1,8 +1,11 @@
 // Package lint is a project-native static-analysis engine that enforces the
 // simulator's determinism and concurrency invariants at compile time rather
 // than after the fact through golden tests. It is built entirely on the
-// standard library (go/parser + go/ast + go/types with the source importer),
-// matching the module's zero-dependency stance.
+// standard library (go/parser + go/ast + go/types over the export data of
+// `go list -export`), matching the module's zero-dependency stance. Load
+// takes go-tool package patterns: they resolve against a directory (zlint
+// passes its working directory), apply build constraints, skip testdata
+// and stop at a nested module.
 //
 // The engine ships five analyzers grounded in real invariants of this
 // codebase (see the Analyzers variable). Three of them apply only to the
@@ -43,8 +46,6 @@ func (f Finding) String() string {
 // Package is one loaded, parsed, and type-checked package ready for
 // analysis.
 type Package struct {
-	Dir   string // directory the package was loaded from
-	Name  string // package name from the package clause
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files only
 	Types *types.Package

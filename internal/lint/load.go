@@ -1,15 +1,19 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -38,169 +42,151 @@ func inZoneDir(relDir string) bool {
 	return false
 }
 
-// A Loader parses and type-checks packages, sharing one FileSet and one
-// source importer (so each dependency is type-checked at most once across
-// the whole run).
-type Loader struct {
-	Fset *token.FileSet
-	imp  types.Importer
-}
-
-// NewLoader builds a Loader backed by the standard library's source
-// importer — packages are type-checked from source, so the engine needs no
-// compiled export data and no dependencies outside the stdlib.
-func NewLoader() *Loader {
+// Load parses and type-checks the non-test files of the packages that
+// patterns match, resolved against dir as the package doc says; a pattern
+// that matches no package is an error. Each module the patterns fall in
+// gets one `go list -export -deps` call: the packages it matches are
+// type-checked from source against the export data it names.
+func Load(dir string, patterns []string) ([]*Package, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	var roots []string
+	byRoot := map[string][]pattern{}
+	for _, arg := range patterns {
+		p, base := pattern{arg: arg, query: arg}, dir
+		if build.IsLocalImport(arg) || filepath.IsAbs(arg) {
+			// A directory pattern goes to the module that holds its directory.
+			if !filepath.IsAbs(arg) {
+				p.query = filepath.Join(dir, arg)
+			}
+			base, _, _ = strings.Cut(p.query, "...")
+		}
+		root, err := FindModuleRoot(base)
+		if err != nil {
+			return nil, err
+		}
+		if filepath.IsAbs(p.query) {
+			// Relative to root, where go list runs, so go's messages show no absolute path.
+			rel, _ := filepath.Rel(root, p.query) // cannot fail: root holds p.query
+			if p.query = "./" + filepath.ToSlash(rel); rel == "." {
+				p.query = "."
+			}
+		}
+		if byRoot[root] == nil {
+			roots = append(roots, root)
+		}
+		byRoot[root] = append(byRoot[root], p)
+	}
 	fset := token.NewFileSet()
-	return &Loader{Fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
-}
-
-// LoadDir parses and type-checks the single package in dir (non-test files
-// only). inZone marks it as deterministic-zone for the zone-only analyzers.
-func (l *Loader) LoadDir(dir string, inZone bool) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("%s: no buildable non-test Go files", dir)
-	}
-	var files []*ast.File
-	pkgName := ""
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		}
-		if f.Name.Name != pkgName {
-			// Mixed package clauses (e.g. an external test package leaking a
-			// non-_test.go file); analyze only the dominant package.
-			continue
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: l.imp}
-	tpkg, err := conf.Check(dir, l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", dir, err)
-	}
-	return &Package{
-		Dir:    dir,
-		Name:   pkgName,
-		Fset:   l.Fset,
-		Files:  files,
-		Types:  tpkg,
-		Info:   info,
-		InZone: inZone,
-	}, nil
-}
-
-// Load expands the patterns relative to root (the module root) and loads
-// every matched package. Patterns follow the go tool's shape: a directory
-// path loads that one package, and a trailing "/..." loads the directory
-// and everything beneath it. Hidden directories, testdata, and vendor trees
-// are skipped.
-func (l *Loader) Load(root string, patterns []string) ([]*Package, error) {
-	dirs, err := ExpandPatterns(root, patterns)
-	if err != nil {
-		return nil, err
-	}
 	var pkgs []*Package
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(root, dir)
+	for _, root := range roots {
+		mod, err := loadModule(fset, root, byRoot[root])
 		if err != nil {
 			return nil, err
 		}
-		p, err := l.LoadDir(dir, inZoneDir(filepath.ToSlash(rel)))
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
+		pkgs = append(pkgs, mod...)
 	}
 	return pkgs, nil
 }
 
-// ExpandPatterns resolves go-tool-style package patterns to the sorted list
-// of directories that contain at least one buildable non-test Go file.
-func ExpandPatterns(root string, patterns []string) ([]string, error) {
-	seen := map[string]bool{}
-	var dirs []string
-	add := func(dir string) {
-		if !seen[dir] && hasGoFiles(dir) {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, pat := range patterns {
-		recursive := false
-		switch {
-		case pat == "..." || pat == "./...":
-			pat, recursive = ".", true
-		case strings.HasSuffix(pat, "/..."):
-			pat, recursive = strings.TrimSuffix(pat, "/..."), true
-		}
-		base := pat
-		if !filepath.IsAbs(base) {
-			base = filepath.Join(root, base)
-		}
-		if !recursive {
-			if !hasGoFiles(base) {
-				return nil, fmt.Errorf("%s: no buildable non-test Go files", pat)
-			}
-			add(base)
-			continue
-		}
-		err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor" || name == "node_modules") {
-				return filepath.SkipDir
-			}
-			add(path)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
+// A pattern is a package pattern as the caller wrote it and as go list reads it.
+type pattern struct{ arg, query string }
+
+// listPackage is the part of a `go list -json` record that Load reads.
+type listPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string // compiled export data
+	DepOnly    bool   // listed only as a dependency of a match
+	Match      []string
+	Module     *struct{ Dir string }
+	Error      *struct{ Err string }
 }
 
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
+// loadModule lists patterns in the module rooted at root, with the export
+// data of everything they import, and checks each package they match.
+func loadModule(fset *token.FileSet, root string, patterns []pattern) ([]*Package, error) {
+	args := []string{"list", "-e", "-export", "-deps", "-json"}
+	for _, p := range patterns {
+		args = append(args, p.query)
 	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			return true
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	exports := map[string]string{}
+	matched := map[string]bool{}
+	var listed []*listPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		lp := new(listPackage)
+		if err := dec.Decode(lp); err != nil {
+			return nil, fmt.Errorf("go list: %w", err)
+		}
+		exports[lp.ImportPath] = lp.Export
+		if lp.DepOnly {
+			continue
+		}
+		if lp.Error != nil {
+			name := lp.ImportPath // a pattern's own query, if go list could not resolve it
+			for _, p := range patterns {
+				if p.query == name {
+					name = p.arg
+				}
+			}
+			return nil, fmt.Errorf("%s: %s", name, lp.Error.Err)
+		}
+		for _, m := range lp.Match {
+			matched[m] = true
+		}
+		listed = append(listed, lp)
+	}
+	for _, p := range patterns {
+		if !matched[p.query] {
+			return nil, fmt.Errorf("%s: matched no packages", p.arg)
 		}
 	}
-	return false
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})}
+	pkgs := make([]*Package, 0, len(listed))
+	for _, lp := range listed {
+		files := make([]*ast.File, 0, len(lp.GoFiles))
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Implicits:  map[ast.Node]types.Object{},
+		}
+		tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
+		if err != nil {
+			return nil, fmt.Errorf("typecheck %s: %w", lp.ImportPath, err)
+		}
+		inZone := false
+		if lp.Module != nil {
+			rel, err := filepath.Rel(lp.Module.Dir, lp.Dir)
+			inZone = err == nil && inZoneDir(filepath.ToSlash(rel))
+		}
+		pkgs = append(pkgs, &Package{Fset: fset, Files: files, Types: tpkg, Info: info, InZone: inZone})
+	}
+	return pkgs, nil
 }
 
 // FindModuleRoot walks upward from dir looking for go.mod.

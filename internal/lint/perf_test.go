@@ -1,19 +1,27 @@
 package lint
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
-// loadModule loads every package of the module once, outside any timed
-// region, so the budget and benchmark measure analysis alone.
-func loadModule(tb testing.TB) []*Package {
-	tb.Helper()
+// gateLoad is the load every whole-tree test shares, made once per test
+// binary: the packages `make lint` names, "./..." and the nested bench
+// module.
+var gateLoad = sync.OnceValues(func() ([]*Package, error) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
-		tb.Fatal(err)
+		return nil, err
 	}
-	pkgs, err := NewLoader().Load(root, []string{"./..."})
+	return Load(root, []string{"./...", "./bench/..."})
+})
+
+// loadGate returns the shared load, outside any timed region, so the
+// budget and benchmark measure analysis alone.
+func loadGate(tb testing.TB) []*Package {
+	tb.Helper()
+	pkgs, err := gateLoad()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -26,9 +34,9 @@ func loadModule(tb testing.TB) []*Package {
 // trips this long before it hangs CI.
 func TestLintTimeBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("whole-program load in -short mode")
+		t.Skip("whole-module load compiles the module on a cold build cache")
 	}
-	pkgs := loadModule(t)
+	pkgs := loadGate(t)
 	start := time.Now()
 	findings := Run(pkgs)
 	elapsed := time.Since(start)
@@ -43,7 +51,7 @@ func TestLintTimeBudget(t *testing.T) {
 // module (packages pre-loaded). Run it on both sides of a lint-engine
 // change: `go test -run '^$' -bench ZlintModule -count 10 ./internal/lint`.
 func BenchmarkZlintModule(b *testing.B) {
-	pkgs := loadModule(b)
+	pkgs := loadGate(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Run(pkgs)

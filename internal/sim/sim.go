@@ -171,7 +171,8 @@ type Engine struct {
 
 // RunqDepthBuckets are the inclusive upper bounds of the sim.runq_depth
 // histogram: how many processors were runnable behind each scheduling pop.
-var RunqDepthBuckets = []uint64{0, 1, 2, 4, 8, 16, 32, 64} //zlint:ignore globalmut immutable bucket bounds, never written after package init
+// They reach memsys.MaxProcs, so no depth a machine can have overflows.
+var RunqDepthBuckets = []uint64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} //zlint:ignore globalmut immutable bucket bounds, never written after package init
 
 // InstrumentMetrics attaches per-event metric handles (implements
 // metrics.Instrumentable). Harvested totals are published separately by

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"zsim/internal/metrics"
 )
 
 func TestSingleProcFinish(t *testing.T) {
@@ -668,5 +670,29 @@ func TestInstrumentationCounts(t *testing.T) {
 	}
 	if e.Blocks() != 1 {
 		t.Fatalf("blocks = %d, want 1", e.Blocks())
+	}
+}
+
+// TestRunqDepthBucketsCoverMaxProcs: on a 1,024-processor machine, the
+// largest memsys.MaxProcs allows, every run-queue depth falls in a bounded
+// sim.runq_depth bucket, so the histogram still tells deep queues apart.
+func TestRunqDepthBucketsCoverMaxProcs(t *testing.T) {
+	defer metrics.Enable(metrics.Enable(true))
+	const procs = 1024
+	r := metrics.NewRegistry()
+	e := NewEngine(procs)
+	e.InstrumentMetrics(r)
+	e.Run(func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			p.Advance(Time(1 + p.ID()%7))
+			p.Sync()
+		}
+	})
+	h := r.Snapshot().Histograms["sim.runq_depth"]
+	if h.Max < procs/2 {
+		t.Fatalf("max run-queue depth %d: the run never queued most of the machine", h.Max)
+	}
+	if over := h.Counts[len(h.Counts)-1]; over != 0 {
+		t.Errorf("%d of %d depths overflowed the last bound %d (max depth %d)", over, h.Count, h.Bounds[len(h.Bounds)-1], h.Max)
 	}
 }
