@@ -44,11 +44,16 @@ conformance:
 
 # The perf-trajectory benchmarks: the kernel hot loop (fast-path Sync cost
 # vs coroutine handoffs among 2 and 64 processors in lockstep and among 64
-# and 1,024 at random run-queue depths) and the grid benchmarks (litmus
-# suite and full figure matrix at increasing worker-pool bounds). zbench
-# (`bash bench/run.sh`) is the paired end-to-end measurement.
+# and 1,024 at random run-queue depths), the interconnect's per-message
+# cost (random pairs, saturating fan-outs, and fan-outs to random sharer
+# subsets at random gaps), one RCupd update transaction to 64 sharers, and
+# the grid benchmarks (litmus suite and full figure matrix at increasing
+# worker-pool bounds). zbench (`bash bench/run.sh`) is the paired
+# end-to-end measurement.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineHotLoop|BenchmarkSync' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkSend' -benchmem ./internal/mesh
+	$(GO) test -run '^$$' -bench 'BenchmarkUpdateTxn' -benchmem ./internal/proto
 	$(GO) test -run '^$$' -bench 'BenchmarkLitmusSuite|BenchmarkFigureGrid' -benchmem .
 
 # Every benchmark in the repository (slow).

@@ -13,7 +13,7 @@ import (
 func TestInfiniteSteadyStateZeroAlloc(t *testing.T) {
 	for _, nodes := range []int{1, 64} {
 		t.Run(fmt.Sprint(nodes), func(t *testing.T) {
-			cs := NewInfinites(nodes)
+			_, cs := NewInfinites(nodes)
 			for _, c := range cs {
 				for a := memsys.Addr(0); a < 64; a++ {
 					c.Insert(a)

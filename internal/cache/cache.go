@@ -5,8 +5,10 @@
 // capacity and conflict misses.
 //
 // A machine's infinite caches share one line-major copy table
-// (NewInfinites): the copies of one line lie side by side, which is how a
-// coherence fan-out visits them.
+// (NewInfinites): the copies of one line lie side by side in one row, and a
+// page holds whole rows, so a coherence fan-out reads a line's copies as
+// one slice (Table.Row) and indexes it by sharer. Finite caches have no
+// rows; a fan-out asks each sharer's cache with Lookup.
 package cache
 
 import (
@@ -75,73 +77,144 @@ type Cache interface {
 }
 
 // NewInfinites returns the unbounded caches (the paper's default) of a
-// machine's nodes, one per node. They share one line-major copy table: node
-// n's copy of line l sits at slot l·nodes+n, so the copies of one line lie
+// machine's nodes, one per node, and the line-major copy table they share:
+// node n's copy of line l is slot n of row l, so the copies of one line lie
 // side by side, and a coherence fan-out over a line's sharers reads one
-// stretch of memory instead of one page in each node's table. The shared
-// heap is a bump allocator, so line numbers are dense from zero, and a
-// lookup on the per-access hot path is two array indexings with no hashing,
-// no per-line pointer, and no steady-state allocation. A slot is the Line
-// itself: State == Invalid marks it absent.
-func NewInfinites(nodes int) []Cache {
-	t := new(memsys.Paged[Line])
+// row instead of one page in each node's table. The shared heap is a bump
+// allocator, so line numbers are dense from zero, and a lookup on the
+// per-access hot path is two array indexings with no hashing, no per-line
+// pointer, and no steady-state allocation. A slot is the Line itself:
+// State == Invalid marks it absent.
+func NewInfinites(nodes int) (*Table, []Cache) {
+	t := newTable(nodes)
 	views := make([]infinite, nodes)
 	cs := make([]Cache, nodes)
 	for i := range views {
-		views[i] = infinite{t: t, nodes: uint64(nodes), node: uint64(i)}
+		views[i] = infinite{t: t, node: uint64(i)}
 		cs[i] = &views[i]
 	}
-	return cs
+	return t, cs
 }
 
 // NewInfinite returns one unbounded cache: the one-node case of
 // NewInfinites.
-func NewInfinite() Cache { return &infinite{t: new(memsys.Paged[Line]), nodes: 1} }
+func NewInfinite() Cache { return &infinite{t: newTable(1)} }
+
+// pageSlots bounds a page of the copy table, as memsys.Paged's 512-element
+// pages do: the page size is what a first touch zeroes.
+const pageSlots = 512
+
+// slabPages caps how many pages one allocation holds. A table carves its
+// pages, in the order they are first touched, from slabs of 1, 1, 2, 4 and
+// then slabPages pages, so a small table wastes little and a large one
+// leaves the collector a few large slabs to free when its machine is
+// dropped, not one object per page. With one 32 KiB object per page, the
+// first 32 KiB allocation of the next machine's set-up (the mesh's link
+// table at 1024 nodes) swept hundreds of dead pages and more than doubled
+// that machine's construction time (DESIGN.md §10).
+const slabPages = 8
+
+// Table is a machine's line-major copy table. Row l holds every node's copy
+// of line l, one slot per node. A page holds 2^shift whole rows, the most
+// that fit in pageSlots slots, or one row when nodes > pageSlots, so no row
+// straddles a page. A page is carved from a slab on first touch and never
+// moves, so the Line pointers and rows the table hands out stay valid.
+type Table struct {
+	pages       [][]Line
+	slab        []Line // what the last slab holds beyond the pages carved from it
+	carved      int    // pages carved so far
+	nodes       uint64
+	shift, mask uint64 // page of row l: l>>shift; row within it: l&mask
+}
+
+func newTable(nodes int) *Table {
+	shift := uint64(0)
+	for nodes<<(shift+1) <= pageSlots {
+		shift++
+	}
+	return &Table{nodes: uint64(nodes), shift: shift, mask: 1<<shift - 1}
+}
+
+// Row returns the copies of the line, one per node, allocating their page
+// on first touch. A coherence fan-out indexes it by sharer; setting a
+// slot's State to Invalid invalidates that node's copy.
+func (t *Table) Row(line memsys.Addr) []Line {
+	i := uint64(line)
+	pi := i >> t.shift
+	if pi >= uint64(len(t.pages)) {
+		t.pages = memsys.Extend(t.pages, int(pi)+1)
+	}
+	p := t.pages[pi]
+	if p == nil {
+		n := t.nodes << t.shift
+		if uint64(len(t.slab)) < n {
+			t.slab = make([]Line, n*uint64(min(max(t.carved, 1), slabPages)))
+		}
+		p, t.slab = t.slab[:n:n], t.slab[n:]
+		t.pages[pi] = p
+		t.carved++
+	}
+	o := (i & t.mask) * t.nodes
+	return p[o : o+t.nodes : o+t.nodes]
+}
 
 // infinite is one node's column of a shared copy table.
 type infinite struct {
-	t           *memsys.Paged[Line] // shared by all the machine's nodes
-	nodes, node uint64
-	n           int // resident lines
+	t    *Table // shared by all the machine's nodes
+	node uint64
 }
 
-func (c *infinite) slot(line memsys.Addr) uint64 { return uint64(line)*c.nodes + c.node }
-
+// Lookup is on every access's path. An untouched page is a nil slice, so
+// one bounds check covers both a missing page and the slot's offset; the
+// shift is masked so that it compiles to one instruction.
 func (c *infinite) Lookup(line memsys.Addr) (*Line, bool) {
-	l := c.t.Peek(c.slot(line))
-	if l == nil || l.State == Invalid {
-		return nil, false
+	t, i := c.t, uint64(line)
+	if pi := i >> (t.shift & 63); pi < uint64(len(t.pages)) {
+		p := t.pages[pi]
+		if o := (i&t.mask)*t.nodes + c.node; o < uint64(len(p)) && p[o].State != Invalid {
+			return &p[o], true
+		}
 	}
-	return l, true
+	return nil, false
 }
 
 func (c *infinite) Insert(line memsys.Addr) (*Line, memsys.Addr, State, bool) {
-	l := c.t.At(c.slot(line))
+	l := &c.t.Row(line)[c.node]
 	if l.State == Invalid {
 		*l = Line{State: Shared}
-		c.n++
 	}
 	return l, 0, Invalid, false
 }
 
 func (c *infinite) Invalidate(line memsys.Addr) {
-	if l := c.t.Peek(c.slot(line)); l != nil && l.State != Invalid {
+	if l, ok := c.Lookup(line); ok {
 		l.State = Invalid
-		c.n--
 	}
 }
 
 func (c *infinite) Touch(memsys.Addr) {}
-func (c *infinite) Len() int          { return c.n }
 func (c *infinite) Evictions() uint64 { return 0 }
+
+// Len counts the node's copies. A fan-out invalidates copies in their row,
+// past the view, so the view keeps no count; Len is read only when a run's
+// metrics are published.
+func (c *infinite) Len() int {
+	n := 0
+	c.ForEach(func(memsys.Addr, *Line) { n++ })
+	return n
+}
 
 // ForEach steps through the node's own slots, one per line, so a sweep of
 // every node (the conformance audit) reads the table once.
 func (c *infinite) ForEach(f func(memsys.Addr, *Line)) {
-	end := c.t.Len()
-	for i, line := c.node, memsys.Addr(0); i < end; i, line = i+c.nodes, line+1 {
-		if l := c.t.Peek(i); l != nil && l.State != Invalid {
-			f(line, l)
+	t := c.t
+	for pi, p := range t.pages {
+		line := memsys.Addr(pi) << t.shift
+		for o := c.node; o < uint64(len(p)); o += t.nodes {
+			if l := &p[o]; l.State != Invalid {
+				f(line, l)
+			}
+			line++
 		}
 	}
 }

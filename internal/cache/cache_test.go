@@ -211,10 +211,11 @@ func TestStateString(t *testing.T) {
 }
 
 // checkSharedTable exercises a machine's shared copy table: every node's
-// copy of a line is its own, Len and ForEach see only the node's own
-// copies, and an invalidated slot comes back reset.
+// copy of a line is its own and is slot n of the line's row, no row
+// straddles a page, Len and ForEach see only the node's own copies (in
+// ascending line order), and an invalidated slot comes back reset.
 func checkSharedTable(t *testing.T, nodes int) {
-	cs := NewInfinites(nodes)
+	tab, cs := NewInfinites(nodes)
 	if len(cs) != nodes {
 		t.Fatalf("NewInfinites(%d) returns %d caches", nodes, len(cs))
 	}
@@ -255,6 +256,9 @@ func checkSharedTable(t *testing.T, nodes int) {
 			t.Fatalf("node %d: ForEach visits %d lines, want %d", n, visits, len(want[n]))
 		}
 	}
+	for _, line := range []memsys.Addr{0, 1, 6, 7, 100, 104, shared} {
+		checkRow(t, tab, cs, line)
+	}
 	last := cs[nodes-1]
 	l, _ := last.Lookup(shared)
 	l.State, l.ReadyAt, l.Updates = Modified, 77, 3
@@ -273,12 +277,50 @@ func checkSharedTable(t *testing.T, nodes int) {
 	}
 }
 
+// checkRow checks the line's row in the copy table: slot n is the Line that
+// node n's Lookup returns (or an Invalid slot where node n holds no copy),
+// and the row is one whole-row stretch of its page, whose length is a
+// power-of-two number of rows within 512 slots, or one row above that.
+func checkRow(t *testing.T, tab *Table, cs []Cache, line memsys.Addr) {
+	t.Helper()
+	nodes := len(cs)
+	row := tab.Row(line)
+	if len(row) != nodes || cap(row) != nodes {
+		t.Fatalf("line %d: row of len %d, cap %d, want %d", line, len(row), cap(row), nodes)
+	}
+	for n, c := range cs {
+		if l, ok := c.Lookup(line); ok && l != &row[n] || !ok && row[n].State != Invalid {
+			t.Fatalf("line %d: slot %d of the row is not node %d's copy", line, n, n)
+		}
+	}
+	var page []Line
+	for _, p := range tab.pages {
+		for k := 0; k+nodes <= len(p); k += nodes {
+			if &p[k] == &row[0] {
+				page = p
+			}
+		}
+	}
+	if page == nil {
+		t.Fatalf("line %d: the row does not start at a row boundary of any page", line)
+	}
+	rows := len(page) / nodes
+	if len(page)%nodes != 0 || rows&(rows-1) != 0 || rows > 1 && len(page) > pageSlots {
+		t.Fatalf("line %d: a page of %d slots holds %d rows of %d", line, len(page), rows, nodes)
+	}
+}
+
 func TestInfinitesSharedTable(t *testing.T) {
-	for _, nodes := range []int{1, 2, 16, 64} {
+	for _, nodes := range []int{1, 2, 3, 16, 48, 64, 100} {
 		t.Run(fmt.Sprint(nodes), func(t *testing.T) { checkSharedTable(t, nodes) })
 	}
 }
 
-// TestInfinitesWide runs the shared table at the many-core cap, where one
-// line's copies span two pages of the paged table.
-func TestInfinitesWide(t *testing.T) { checkSharedTable(t, memsys.MaxProcs) }
+// TestInfinitesWide runs the shared table above 512 nodes, where a page
+// holds one row: at 513 nodes, the width that fits no power-of-two row
+// count, and at the many-core cap.
+func TestInfinitesWide(t *testing.T) {
+	for _, nodes := range []int{513, memsys.MaxProcs} {
+		t.Run(fmt.Sprint(nodes), func(t *testing.T) { checkSharedTable(t, nodes) })
+	}
+}

@@ -121,30 +121,26 @@ func (b *Bitset) Clear() {
 	}
 }
 
-// ForEach visits members in ascending processor order. Iteration reads each
-// word once before visiting its members, so removing already-visited or
-// not-yet-visited members of the same word from inside f does not disturb
-// the traversal (the update protocols prune sharers mid-iteration).
-func (b *Bitset) ForEach(f func(p int)) {
+// AppendTo appends the members to dst in ascending processor order and
+// returns the extended slice. It is the one way to list a set: the
+// coherence fan-outs list a line's sharers once, then work on the list, so
+// they may change the set while they walk it.
+func (b *Bitset) AppendTo(dst []int) []int {
 	for w := b.w0; w != 0; w &= w - 1 {
-		f(bits.TrailingZeros64(w))
+		dst = append(dst, bits.TrailingZeros64(w))
 	}
-	if b.ext == nil {
-		return
-	}
-	for i := range b.ext {
-		for w := b.ext[i]; w != 0; w &= w - 1 {
-			f((i+1)*64 + bits.TrailingZeros64(w))
+	if b.ext != nil {
+		for i, w := range b.ext {
+			for ; w != 0; w &= w - 1 {
+				dst = append(dst, (i+1)*64+bits.TrailingZeros64(w))
+			}
 		}
 	}
+	return dst
 }
 
 // List returns the members in ascending order.
-func (b *Bitset) List() []int {
-	out := make([]int, 0, b.Count())
-	b.ForEach(func(p int) { out = append(out, p) })
-	return out
-}
+func (b *Bitset) List() []int { return b.AppendTo(make([]int, 0, b.Count())) }
 
 // Entry is a directory entry for one cache line.
 type Entry struct {

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -132,27 +133,23 @@ func TestBitsetWidthConstant(t *testing.T) {
 	}
 }
 
-// TestBitsetForEachRemoveDuringIteration pins the snapshot semantics the
-// update protocols rely on: removing the visited member (or any member of
-// an already-read word) inside the callback must not disturb traversal.
-func TestBitsetForEachRemoveDuringIteration(t *testing.T) {
+// TestBitsetRemoveListedMembers pins what the coherence fan-outs rely on:
+// they list a line's sharers once and may remove any of them from the set
+// while they walk the list (RCcomp's self-invalidation does), which must
+// not disturb the walk.
+func TestBitsetRemoveListedMembers(t *testing.T) {
 	var b Bitset
 	ids := []int{3, 40, 63, 64, 100, 500, 1023}
 	for _, p := range ids {
 		b.Add(p)
 	}
 	var got []int
-	b.ForEach(func(p int) {
+	for _, p := range b.AppendTo(nil) {
 		got = append(got, p)
 		b.Remove(p)
-	})
-	if len(got) != len(ids) {
-		t.Fatalf("visited %v, want %v", got, ids)
 	}
-	for i := range ids {
-		if got[i] != ids[i] {
-			t.Fatalf("visited %v, want %v", got, ids)
-		}
+	if !slices.Equal(got, ids) {
+		t.Fatalf("visited %v, want %v", got, ids)
 	}
 	if b.Count() != 0 {
 		t.Fatalf("members survived self-removal: %v", b.List())
@@ -226,18 +223,16 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-func TestForEachOrder(t *testing.T) {
+// TestBitsetAppendToOrder: AppendTo keeps what dst held and appends the
+// members after it in ascending order, across the inline and high words.
+func TestBitsetAppendToOrder(t *testing.T) {
 	var b Bitset
-	b.Add(5)
-	b.Add(1)
-	b.Add(10)
-	var got []int
-	b.ForEach(func(p int) { got = append(got, p) })
-	want := []int{1, 5, 10}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach order = %v, want %v", got, want)
-		}
+	for _, p := range []int{700, 5, 64, 1, 10} {
+		b.Add(p)
+	}
+	got := b.AppendTo([]int{-1})
+	if want := []int{-1, 1, 5, 10, 64, 700}; !slices.Equal(got, want) {
+		t.Fatalf("AppendTo = %v, want %v", got, want)
 	}
 }
 

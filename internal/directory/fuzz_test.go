@@ -28,15 +28,15 @@ func FuzzBitset(f *testing.F) {
 			t.Fatalf("count %d != %d", b.Count(), len(ref))
 		}
 		prev := -1
-		b.ForEach(func(p int) {
+		for _, p := range b.AppendTo(nil) {
 			if !ref[p] {
 				t.Fatalf("phantom member %d", p)
 			}
 			if p <= prev {
-				t.Fatalf("ForEach order violated: %d after %d", p, prev)
+				t.Fatalf("AppendTo order violated: %d after %d", p, prev)
 			}
 			prev = p
-		})
+		}
 	})
 }
 
@@ -68,15 +68,15 @@ func FuzzBitsetWide(f *testing.F) {
 			t.Fatalf("count %d != %d", b.Count(), len(ref))
 		}
 		prev := -1
-		b.ForEach(func(p int) {
+		for _, p := range b.AppendTo(nil) {
 			if !ref[p] {
 				t.Fatalf("phantom member %d", p)
 			}
 			if p <= prev {
-				t.Fatalf("ForEach order violated: %d after %d", p, prev)
+				t.Fatalf("AppendTo order violated: %d after %d", p, prev)
 			}
 			prev = p
-		})
+		}
 		for p := range ref {
 			if !b.Has(p) {
 				t.Fatalf("lost member %d", p)

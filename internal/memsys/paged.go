@@ -41,7 +41,7 @@ type Paged[T any] struct {
 func (t *Paged[T]) At(i uint64) *T {
 	pi := i >> pageShift
 	if pi >= uint64(len(t.pages)) {
-		t.grow(pi)
+		t.pages = Extend(t.pages, int(pi)+1)
 	}
 	p := t.pages[pi]
 	if p == nil {
@@ -73,19 +73,19 @@ func (t *Paged[T]) Load(i uint64) T {
 	return zero
 }
 
-// grow extends the page vector to cover page pi in one step, at least
-// doubling its capacity (amortized: it happens only when the heap's
-// high-water mark crosses into a new page, and a far sparse touch costs
-// one allocation, not one append per skipped page).
-func (t *Paged[T]) grow(pi uint64) {
-	n := int(pi) + 1
-	if n > cap(t.pages) {
-		pages := make([][]T, n, max(n, 2*cap(t.pages)))
-		copy(pages, t.pages)
-		t.pages = pages
-		return
+// Extend returns s extended to length n, for a page vector that must
+// cover page n-1. It grows the vector in one step, at least doubling its
+// capacity (amortized: it happens only when a table's high-water mark
+// crosses into a new page, and a far sparse touch costs one allocation,
+// not one append per skipped page). A page vector never shrinks, so the
+// elements past len(s) that a reslice exposes are still nil.
+func Extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		grown := make([]T, n, max(n, 2*cap(s)))
+		copy(grown, s)
+		return grown
 	}
-	t.pages = t.pages[:n] // the vector never shrinks, so the tail is nil
+	return s[:n]
 }
 
 // ForEach visits every element of every allocated page in ascending index

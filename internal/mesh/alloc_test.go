@@ -61,7 +61,7 @@ func TestSendZeroAlloc(t *testing.T) {
 				at = n.Send(0, last, 32, at)
 				at = n.Send(last, 0, 8, at)
 				at = n.Send(3, 3, 8, at) // local delivery
-				at = n.Fan(3, dsts, 40, 8, at)
+				at, _ = n.Fan(3, dsts, 40, 8, at)
 			}); a != 0 {
 				t.Fatalf("Send and Fan allocate %v times per run", a)
 			}

@@ -15,6 +15,11 @@
 // the link is idle. ROADMAP's "Links that wait only while busy" measures
 // this and plans its replacement.
 //
+// Booking a hop is one step with no branch on the data, book: the transfer
+// begins at the later of the message's ready time and the link's
+// busy-until time. A message's queueing is its arrival less its
+// uncontended latency, so a walk sums no per-hop wait.
+//
 // A network of at most 64 nodes tabulates every route on its first message,
 // as a flat list of link ids, so a message walks its list in one loop and
 // routes nothing. A larger network, where the table would cost megabytes,
@@ -196,15 +201,15 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 // message of out bytes injected at t, then a reply of back bytes injected
 // when the message arrives. Each round trip books exactly what
 // Send(d, src, back, Send(src, d, out, t)) would, so a round trip to src
-// itself is free. Fan returns the latest reply's arrival, or t if dsts is
-// empty. The protocols' coherence fan-outs (an update or invalidation to
-// every sharer, each acked to the home) make one Fan call each, and Fan
-// updates the statistics once per call.
-func (n *Net) Fan(src int, dsts []int, out, back int, t Time) Time {
+// itself is free. Fan returns the latest reply's arrival, or t if it booked
+// none, and the number of round trips it booked. The protocols' coherence
+// fan-outs (an update or invalidation to every sharer, each acked to the
+// home) make one Fan call each, and Fan updates the statistics once per
+// call.
+func (n *Net) Fan(src int, dsts []int, out, back int, t Time) (latest Time, trips int) {
 	outT, backT := n.transfer(out), n.transfer(back)
 	observe := n.mHops != nil && metrics.Enabled()
-	latest := t
-	var trips uint64
+	latest = t
 	var queued Time
 	var outHops, backHops int32
 	for _, d := range dsts {
@@ -223,11 +228,11 @@ func (n *Net) Fan(src int, dsts []int, out, back int, t Time) Time {
 		backHops += h2
 		trips++
 	}
-	n.msgs += 2 * trips
-	n.bytes += trips * uint64(out+back)
+	n.msgs += 2 * uint64(trips)
+	n.bytes += uint64(trips) * uint64(out+back)
 	n.queueing += queued
 	n.occupied += outT*Time(outHops) + backT*Time(backHops)
-	return latest
+	return latest, trips
 }
 
 // walk books the links of the route from src to dst for a message that
@@ -239,40 +244,41 @@ func (n *Net) Fan(src int, dsts []int, out, back int, t Time) Time {
 func (n *Net) walk(src, dst int, transfer, start Time) (t, queued Time, hops int32) {
 	busy, hop := n.busy, n.hopLatency
 	t = start
-	if n.at == nil {
-		if n.nodes > tableNodes {
-			for _, r := range n.route(src, dst) {
-				l := r.First
-				for k := r.Len; k > 0; k-- {
-					t = book(busy, l, hop, transfer, t, &queued)
-					l += r.Stride
-				}
-				hops += r.Len
+	if n.at == nil && n.nodes > tableNodes {
+		for _, r := range n.route(src, dst) {
+			l := r.First
+			for k := r.Len; k > 0; k-- {
+				t = book(busy, l, hop, transfer, t)
+				l += r.Stride
 			}
-			return t, queued, hops
+			hops += r.Len
 		}
-		n.tabulate()
+	} else {
+		if n.at == nil {
+			n.tabulate()
+		}
+		i := src*n.nodes + dst
+		links := n.links[n.at[i]:n.at[i+1]]
+		for _, l := range links {
+			t = book(busy, l, hop, transfer, t)
+		}
+		hops = int32(len(links))
 	}
-	i := src*n.nodes + dst
-	links := n.links[n.at[i]:n.at[i+1]]
-	for _, l := range links {
-		t = book(busy, l, hop, transfer, t, &queued)
-	}
-	return t, queued, int32(len(links))
+	// Each hop took hop + transfer cycles plus its wait for the link.
+	return t, t - start - Time(hops)*(hop+transfer), hops
 }
 
-// book books link l for a message that reaches it at t, adds the cycles
-// the message waits for the link to *queued, and returns when the message
-// has crossed it. It is the link model: the link's busy-until time delays
-// the message until the link's last booking ends, and is then moved past
-// this message's transfer.
-func book(busy []Time, l int32, hop, transfer, t Time, queued *Time) Time {
-	begin := t + hop
-	if b := busy[l]; b > begin {
-		*queued += b - begin
-		begin = b
-	}
-	t = begin + transfer
+// book books link l for a message that reaches it at t and returns when the
+// message has crossed it. It is the link model of MODEL.md §2: the
+// transfer begins at max(t+hop, busy[l]), and the link stays busy until it
+// ends. The max keeps the step free of a branch on the data: in the
+// coherence fan-outs, whether a hop waits changes on up to 39% of
+// consecutive hops (DESIGN.md §10), so such a branch would mispredict in
+// the simulator's hottest loop. A hop's wait is its crossing time less hop
+// and transfer, so walk takes a message's queueing from its arrival
+// instead of summing it hop by hop.
+func book(busy []Time, l int32, hop, transfer, t Time) Time {
+	t = max(t+hop, busy[l]) + transfer
 	busy[l] = t
 	return t
 }

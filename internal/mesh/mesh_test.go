@@ -200,8 +200,11 @@ func TestStatsAccumulate(t *testing.T) {
 // protocol does: a home sends a data message to every other node of the
 // mesh at the same start time and each node acks with a control message,
 // so the fan-out and the acks contend on the links around the home.
-// fanout/32x32 is the same transaction on the untabulated mesh. Their
-// ns/op is per message.
+// fanout/32x32 is the same transaction on the untabulated mesh. Both
+// saturate the links: nearly every hop waits. fanout-mixed/8x8 is closer to
+// a simulation's traffic, where whether a hop waits changes from hop to
+// hop: fan-outs from random homes to seeded random sharer subsets, each
+// starting a random gap after the last. Their ns/op is per message.
 func BenchmarkSend(b *testing.B) {
 	for _, procs := range []int{16, 64, 1024} {
 		p := memsys.Default(procs)
@@ -237,18 +240,53 @@ func BenchmarkSend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i, home := 0, 0; i < b.N; home = (home + 1) & (nodes - 1) {
-				t = n.Fan(home, dsts, data, p.CtrlBytes, t)
+				t, _ = n.Fan(home, dsts, data, p.CtrlBytes, t)
 				i += 2 * (nodes - 1)
 			}
 		})
 	}
+	b.Run("fanout-mixed/8x8", func(b *testing.B) {
+		p := memsys.Default(64)
+		n := New(p)
+		nodes, data := p.Nodes(), p.HeaderBytes+p.LineSize
+		rng := rand.New(rand.NewSource(1))
+		// With these, 17% of hops wait and the outcome flips on 29% of
+		// consecutive hops, as on zbench's Maxflow × RCupd cell (17% and
+		// 28%). Mean gaps under about 1,000 cycles saturate the links
+		// around the homes, and then the queues, not the traffic, set which
+		// hops wait.
+		const (
+			fans  = 256  // a power of two: k&(fans-1) picks a fan-out
+			gap   = 4000 // start gaps are uniform in [0, gap) cycles
+			share = 8    // a fan-out lists each node with probability k/share, k uniform in [1, share]
+		)
+		homes, gaps, dsts := make([]int, fans), make([]Time, fans), make([][]int, fans)
+		for k := range dsts {
+			homes[k] = rng.Intn(nodes)
+			gaps[k] = Time(rng.Intn(gap))
+			for d, s := 0, 1+rng.Intn(share); d < nodes; d++ {
+				if rng.Intn(share) < s {
+					dsts[k] = append(dsts[k], d)
+				}
+			}
+		}
+		start := n.Send(0, 1, p.CtrlBytes, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, k := 0, 0; i < b.N; k = (k + 1) & (fans - 1) {
+			start += gaps[k]
+			_, trips := n.Fan(homes[k], dsts[k], data, p.CtrlBytes, start)
+			i += 2*trips + 1 // +1: a fan-out that sends nothing still takes a step
+		}
+	})
 }
 
 // TestFanMatchesSends pins Fan to its definition: each round trip books
 // exactly what Send(d, src, back, Send(src, d, out, t)) would, in list
-// order. Both networks start from the same random load; every fan-out is
-// replayed with Send on the twin, and the two must agree on each return
-// value, on every link's busy-until time and on every statistic.
+// order, and Fan counts the round trips it booked. Both networks start
+// from the same random load; every fan-out is replayed with Send on the
+// twin, and the two must agree on each return value, on every link's
+// busy-until time and on every statistic.
 func TestFanMatchesSends(t *testing.T) {
 	defer metrics.Enable(metrics.Enable(true))
 	for _, c := range testNetworks() {
@@ -286,15 +324,19 @@ func TestFanMatchesSends(t *testing.T) {
 				}
 				out := []int{c.p.CtrlBytes, data}[rng.Intn(2)]
 				start := t0 + Time(rng.Intn(200))
-				got := fan.Fan(home, dsts, out, c.p.CtrlBytes, start)
-				want := start
+				got, trips := fan.Fan(home, dsts, out, c.p.CtrlBytes, start)
+				want, wantTrips := start, 0
 				for _, d := range dsts {
 					if r := twin.Send(d, home, c.p.CtrlBytes, twin.Send(home, d, out, start)); r > want {
 						want = r
 					}
+					if d != home {
+						wantTrips++
+					}
 				}
-				if got != want {
-					t.Fatalf("fan-out %d from %d to %v: Fan returns %d, Sends %d", i, home, dsts, got, want)
+				if got != want || trips != wantTrips {
+					t.Fatalf("fan-out %d from %d to %v: Fan returns %d after %d round trips, Sends %d after %d",
+						i, home, dsts, got, trips, want, wantTrips)
 				}
 				t0 += Time(rng.Intn(100))
 			}
@@ -370,5 +412,100 @@ func TestWideMeshBuildsNoTable(t *testing.T) {
 	n.Fan(3, []int{1, 3, last}, p.HeaderBytes+p.LineSize, p.CtrlBytes, at)
 	if n.links != nil || n.at != nil {
 		t.Fatalf("the %d-node mesh built a table of %d offsets and %d links", p.Nodes(), len(n.at), len(n.links))
+	}
+}
+
+// TestBookMatchesDefinition pins the per-link step that Send and Fan share,
+// and so cannot check against each other, to the rule MODEL.md §2 states:
+// a message that reaches a link at t begins its transfer at
+// max(t + HopLatency, busyUntil), waits the difference, departs T cycles
+// later, and leaves busyUntil at its departure. The wait is what walk
+// charges as queueing: the crossing time less the hop and the transfer.
+// Arrivals, busy-until times, hop and transfer costs are seeded random; a
+// quarter of the steps tie the link's busy-until with the message's ready
+// time, and a quarter arrive exactly when the link's last message departs
+// (a zero gap).
+func TestBookMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	busy := make([]Time, 8)
+	before := make([]Time, len(busy))
+	var last Time // the last step's departure
+	for i := 0; i < 100_000; i++ {
+		l := int32(rng.Intn(len(busy)))
+		hop, transfer := Time(rng.Intn(4)), Time(1+rng.Intn(64))
+		at := last + Time(rng.Intn(200)) - min(last, 100)
+		switch rng.Intn(4) {
+		case 0: // a tie: the link frees just as the message is ready for it
+			busy[l] = at + hop
+		case 1: // a zero gap: the message reaches the link as its last one departs
+			at = busy[l]
+		case 2:
+			busy[l] = at + hop + Time(rng.Intn(100)) - min(at+hop, 50)
+		}
+		copy(before, busy)
+
+		ready := at + hop
+		begin := ready
+		if busy[l] > begin {
+			begin = busy[l]
+		}
+		wantDone, wantWait := begin+transfer, begin-ready
+
+		done := book(busy, l, hop, transfer, at)
+		if wait := done - at - hop - transfer; done != wantDone || wait != wantWait || busy[l] != wantDone {
+			t.Fatalf("step %d: book(link %d busy until %d, hop %d, transfer %d, at %d) = %d (wait %d), busy until %d; want %d (wait %d)",
+				i, l, before[l], hop, transfer, at, done, wait, busy[l], wantDone, wantWait)
+		}
+		before[l] = busy[l]
+		if !slices.Equal(busy, before) {
+			t.Fatalf("step %d: book on link %d changed another link: %v, want %v", i, l, busy, before)
+		}
+		last = done
+	}
+}
+
+// TestSendMatchesDefinition replays each message of a random load hop by
+// hop through MODEL.md §2's rule, over Route's links: Send must return the
+// same arrival, charge the sum of the hops' waits as queueing, and leave
+// every link's busy-until time where the rule does, on the tabulated
+// networks and on the 32×32 mesh's strided runs.
+func TestSendMatchesDefinition(t *testing.T) {
+	for _, c := range testNetworks() {
+		t.Run(c.name, func(t *testing.T) {
+			n := New(c.p)
+			nodes, hop := c.p.Nodes(), c.p.HopLatency
+			busy := make([]Time, len(n.busy))
+			rng := rand.New(rand.NewSource(int64(nodes)))
+			var runs []Run
+			var t0, queued Time
+			for i := 0; i < 4*nodes; i++ {
+				src, dst := rng.Intn(nodes), rng.Intn(nodes)
+				bytes := []int{c.p.CtrlBytes, c.p.HeaderBytes + c.p.LineSize}[rng.Intn(2)]
+				start := t0 + Time(rng.Intn(200))
+				want := start
+				for _, r := range n.topo.Route(runs[:0], src, dst) {
+					for k, l := int32(0), r.First; k < r.Len; k, l = k+1, l+r.Stride {
+						ready, begin := want+hop, want+hop
+						if busy[l] > begin {
+							begin = busy[l]
+						}
+						queued += begin - ready
+						want = begin + c.p.TransferCycles(bytes)
+						busy[l] = want
+					}
+				}
+				if got := n.Send(src, dst, bytes, start); got != want || n.QueueingCycles() != queued {
+					t.Fatalf("message %d, %d->%d: arrives at %d after %d cycles of queueing in all; the rule gives %d and %d",
+						i, src, dst, got, n.QueueingCycles(), want, queued)
+				}
+				t0 += Time(rng.Intn(20))
+			}
+			if !slices.Equal(n.busy, busy) {
+				t.Fatal("Send and the rule leave different link busy-until times")
+			}
+			if queued == 0 && c.name != "xbar" { // a crossbar gives each ordered pair its own link
+				t.Fatal("the load never queued a message")
+			}
+		})
 	}
 }

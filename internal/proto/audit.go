@@ -37,6 +37,7 @@ func (b *base) AuditConformance() []string {
 		})
 	}
 
+	var sharers []int
 	b.dir.ForEach(func(line memsys.Addr, e *directory.Entry) {
 		held := copies[line]
 		modified := 0
@@ -66,11 +67,12 @@ func (b *base) AuditConformance() []string {
 			if modified != 0 {
 				fail("line %#x: %v entry with a Modified copy", line, e.State)
 			}
-			e.Sharers.ForEach(func(s int) {
+			sharers = e.Sharers.AppendTo(sharers[:0])
+			for _, s := range sharers {
 				if !hasCopy(held, s) {
 					fail("line %#x: presence bit for node %d without a resident copy (%v)", line, s, e)
 				}
-			})
+			}
 		case directory.Uncached:
 			if len(held) != 0 {
 				fail("line %#x: Uncached entry but copies %v", line, describeCopies(held))

@@ -70,18 +70,26 @@ type base struct {
 	net    *mesh.Net
 	dir    *directory.Directory
 	caches []cache.Cache
+	// rows is the infinite caches' shared copy table, from which a
+	// coherence fan-out reads a line's copies as one row; nil with finite
+	// caches, which keep no rows.
+	rows *cache.Table
 	// seen[node] marks lines ever cached by the node (cold-miss tracking):
 	// paged flat tables indexed by the dense line number, consulted on every
 	// miss, so the lookup must not hash or allocate.
 	seen []memsys.Paged[bool]
 	ctr  *memsys.Counters
-	// targets lists the sharers a coherence fan-out sends to, in ascending
-	// id; each fan-out's selection pass refills it, and fanOut sends to it.
+	// targets is the list a coherence fan-out works on: sharers lists a
+	// line's presence set into it, in ascending id.
 	targets []int
 
 	// nodes and threads are p.Nodes() and p.HWThreads, kept as plain ints
 	// so that the per-access node and home mapping does not copy p.
 	nodes, threads int
+	// dropInval and dropUpdate resolve p.FaultInjection once: the seeded
+	// defect loses the message to the first sharer of every invalidation
+	// or update fan-out.
+	dropInval, dropUpdate bool
 }
 
 func newBase(p memsys.Params, net *mesh.Net) base {
@@ -94,9 +102,12 @@ func newBase(p memsys.Params, net *mesh.Net) base {
 		ctr:     memsys.NewCounters(p.Procs),
 		nodes:   nodes,
 		threads: p.HWThreads,
+
+		dropInval:  p.FaultInjection == "drop-inval",
+		dropUpdate: p.FaultInjection == "drop-update",
 	}
 	if !p.FiniteCache {
-		b.caches = cache.NewInfinites(nodes)
+		b.rows, b.caches = cache.NewInfinites(nodes)
 		return b
 	}
 	b.caches = make([]cache.Cache, nodes)
@@ -163,27 +174,60 @@ func (b *base) data(src, dst int, t Time) Time {
 	return b.net.Send(src, dst, b.p.HeaderBytes+b.p.LineSize, t)
 }
 
-// fanOut books a coherence fan-out from the home: for each node of
-// b.targets in order, a message (a line of data when data is set, else a
-// control message) followed at once by its control ack back to the home.
-// It returns when the last ack reaches the home, or t when no node is
-// listed. A target at the home costs nothing and counts no message.
-func (b *base) fanOut(home int, data bool, t Time) Time {
+// sharers lists the line's sharers other than p into b.targets, in
+// ascending id, and returns the list. It clears p's presence bit first, so
+// the list needs no filtering: the requester gets no message of its own
+// fan-out, and every fan-out puts p back in the set when it is done.
+func (b *base) sharers(e *directory.Entry, p int) []int {
+	e.Sharers.Remove(p)
+	b.targets = e.Sharers.AppendTo(b.targets[:0])
+	return b.targets
+}
+
+// copyOf returns node s's copy of the line: slot s of the line's row, or,
+// with finite caches, which keep no rows, the node's Lookup (nil when it
+// misses).
+func (b *base) copyOf(row []cache.Line, s int, line memsys.Addr) *cache.Line {
+	if row != nil {
+		return &row[s]
+	}
+	l, _ := b.caches[s].Lookup(line)
+	return l
+}
+
+// invalidate drops the listed nodes' copies of the line, in its row when
+// the caches keep rows, and counts one invalidation each.
+func (b *base) invalidate(line memsys.Addr, nodes []int) {
+	b.ctr.Invalidations += uint64(len(nodes))
+	if b.rows == nil {
+		for _, s := range nodes {
+			b.caches[s].Invalidate(line)
+		}
+		return
+	}
+	row := b.rows.Row(line)
+	for _, s := range nodes {
+		row[s].State = cache.Invalid
+	}
+}
+
+// fanOut books a coherence fan-out from the home: for each of dsts in
+// order, a message (a line of data when data is set, else a control
+// message) followed at once by its control ack back to the home. It
+// returns when the last ack reaches the home, or t when no message was
+// sent. A node at the home costs nothing and counts no message.
+func (b *base) fanOut(home int, dsts []int, data bool, t Time) Time {
 	out := b.p.CtrlBytes
 	if data {
 		out = b.p.HeaderBytes + b.p.LineSize
 	}
-	for _, s := range b.targets {
-		if s == home {
-			continue
-		}
-		b.ctr.Messages += 2
-		b.ctr.Bytes += uint64(out + b.p.CtrlBytes)
-		if data {
-			b.ctr.DataMsgs++
-		}
+	acks, trips := b.net.Fan(home, dsts, out, b.p.CtrlBytes, t)
+	b.ctr.Messages += 2 * uint64(trips)
+	b.ctr.Bytes += uint64(trips) * uint64(out+b.p.CtrlBytes)
+	if data {
+		b.ctr.DataMsgs += uint64(trips)
 	}
-	return b.net.Fan(home, b.targets, out, b.p.CtrlBytes, t)
+	return acks
 }
 
 // markSeen records that processor p has cached the line at least once, and
@@ -245,22 +289,25 @@ func (b *base) enforcePointers(e *directory.Entry, line memsys.Addr, keep int, t
 	if limit <= 0 {
 		return
 	}
+	excess := e.Sharers.Count() - limit
+	if excess <= 0 {
+		return
+	}
 	home := b.home(line)
-	for e.Sharers.Count() > limit {
-		victim := -1
-		e.Sharers.ForEach(func(s int) {
-			if victim < 0 && s != keep {
-				victim = s
-			}
-		})
-		if victim < 0 {
+	b.targets = e.Sharers.AppendTo(b.targets[:0])
+	for _, victim := range b.targets {
+		if excess == 0 {
 			return
+		}
+		if victim == keep {
+			continue
 		}
 		b.ctrl(home, victim, t)
 		b.caches[victim].Invalidate(line)
 		e.Sharers.Remove(victim)
 		b.ctr.Invalidations++
 		b.ctr.PointerEvictions++
+		excess--
 	}
 }
 
@@ -313,23 +360,14 @@ func (b *base) ownership(p int, line memsys.Addr, now Time) Time {
 		t = b.ctrl(home, p, t)
 	default:
 		// Invalidate every other sharer; acks return to home.
-		b.targets = b.targets[:0]
-		dropped := false
-		e.Sharers.ForEach(func(s int) {
-			if s == p {
-				return
-			}
-			if b.p.FaultInjection == "drop-inval" && !dropped {
-				// Seeded defect: the invalidation to one sharer is lost, so a
-				// stale read-only copy survives the ownership transfer.
-				dropped = true
-				return
-			}
-			b.caches[s].Invalidate(line)
-			b.ctr.Invalidations++
-			b.targets = append(b.targets, s)
-		})
-		acks := b.fanOut(home, false, t)
+		targets := b.sharers(e, p)
+		if b.dropInval && len(targets) > 0 {
+			// Seeded defect: the invalidation to one sharer is lost, so a
+			// stale read-only copy survives the ownership transfer.
+			targets = targets[1:]
+		}
+		b.invalidate(line, targets)
+		acks := b.fanOut(home, targets, false, t)
 		_, hadCopy := b.caches[p].Lookup(line)
 		if hadCopy {
 			t = b.ctrl(home, p, acks)

@@ -534,6 +534,30 @@ func BenchmarkRCInvAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkUpdateTxn times one RCupd write fan-out to a full presence set
+// at 64 nodes, the transaction behind zbench's coherence Maxflow cell: the
+// home lists the line's sharers, updates the 63 copies other than the
+// writer's and books a data message and an ack for each one not at the
+// home, and the writer refills its own copy. Every node reads the line
+// first and RCupd never drops a sharer, so every transaction finds all 64
+// nodes sharing. The writer rotates over the nodes, and each transaction
+// starts when the last one completes. ns/op is per transaction.
+func BenchmarkUpdateTxn(b *testing.B) {
+	p := memsys.Default(64)
+	u := newUpd(p, mesh.New(p), updPlain)
+	const addr = 64
+	now := Time(0)
+	for n := 0; n < p.Nodes(); n++ {
+		now += u.Read(n, addr, 8, now)
+	}
+	line := u.line(addr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = u.updateTxn(i&63, line, now)
+	}
+}
+
 // --- RCsync (the paper's §6 decoupling proposal) ---
 
 func TestRCSyncNeverFlushes(t *testing.T) {

@@ -97,17 +97,10 @@ func (u *upd) Read(p int, addr memsys.Addr, size int, now Time) Time {
 func (u *upd) reinit(p int, line memsys.Addr, e *directory.Entry, now Time) Time {
 	home := u.home(line)
 	t := u.ctrl(p, home, now) + u.p.DirLatency
-	u.targets = u.targets[:0]
-	e.Sharers.ForEach(func(s int) {
-		if s == p {
-			return
-		}
-		u.caches[s].Invalidate(line)
-		u.ctr.Invalidations++
-		u.ctr.SelfInvalidations++
-		u.targets = append(u.targets, s)
-	})
-	acks := u.fanOut(home, false, t)
+	targets := u.sharers(e, p)
+	u.invalidate(line, targets)
+	u.ctr.SelfInvalidations += uint64(len(targets))
+	acks := u.fanOut(home, targets, false, t)
 	e.Sharers.Clear()
 	e.Sharers.Add(p)
 	e.State = directory.SharedClean // leaves Special until the next write
@@ -142,28 +135,25 @@ func (u *upd) updateTxn(p int, line memsys.Addr, t0 Time) Time {
 	home := u.home(line)
 	t := u.data(p, home, t0) + u.p.DirLatency
 	e.Version++ // the fan-out makes new contents globally visible
-	u.targets = u.targets[:0]
-	dropped := false
-	e.Sharers.ForEach(func(s int) {
-		if s == p {
-			return
-		}
-		sl, ok := u.caches[s].Lookup(line)
-		if !ok {
+	targets := u.sharers(e, p)
+	if u.dropUpdate && len(targets) > 0 {
+		// Seeded defect: the update to one sharer is lost, leaving its
+		// cached copy holding the previous version of the line.
+		targets = targets[1:]
+	}
+	var row []cache.Line
+	if u.rows != nil {
+		row = u.rows.Row(line)
+	}
+	var useless uint64
+	for _, s := range targets {
+		sl := u.copyOf(row, s, line)
+		if sl == nil || sl.State == cache.Invalid {
 			// Every path that drops a copy also clears its presence bit
 			// (evict sends a replacement hint), so this is a protocol bug.
 			panic(fmt.Sprintf("proto: line %#x: presence bit for node %d without a resident copy", line, s))
 		}
-		if u.p.FaultInjection == "drop-update" && !dropped {
-			// Seeded defect: the update to one sharer is lost, leaving its
-			// cached copy holding the previous version of the line.
-			dropped = true
-			return
-		}
-		u.ctr.Updates++
-		if sl.Updates > 0 {
-			u.ctr.UselessUpdates++
-		}
+		useless += uint64(min(sl.Updates, 1)) // an update the sharer never read
 		sl.Updates++
 		sl.Version = e.Version
 		if u.mode == updCompetitive && sl.Updates >= u.p.CompThreshold {
@@ -172,9 +162,10 @@ func (u *upd) updateTxn(p int, line memsys.Addr, t0 Time) Time {
 			e.Sharers.Remove(s)
 			u.ctr.SelfInvalidations++
 		}
-		u.targets = append(u.targets, s)
-	})
-	acks := u.fanOut(home, true, t)
+	}
+	u.ctr.Updates += uint64(len(targets))
+	u.ctr.UselessUpdates += useless
+	acks := u.fanOut(home, targets, true, t)
 	e.Sharers.Add(p)
 	u.enforcePointers(e, line, p, acks)
 	if u.mode == updAdaptive {
