@@ -46,14 +46,15 @@ conformance:
 # vs coroutine handoffs among 2 and 64 processors in lockstep and among 64
 # and 1,024 at random run-queue depths), the interconnect's per-message
 # cost (random pairs, saturating fan-outs, and fan-outs to random sharer
-# subsets at random gaps), one RCupd update transaction to 64 sharers, and
-# the grid benchmarks (litmus suite and full figure matrix at increasing
+# subsets at random gaps), one RCupd update transaction to 64 sharers, RCinv
+# reads that sweep a copy table far larger than the host's L2 at 256 nodes,
+# and the grid benchmarks (litmus suite and full figure matrix at increasing
 # worker-pool bounds). zbench (`bash bench/run.sh`) is the paired
 # end-to-end measurement.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineHotLoop|BenchmarkSync' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkSend' -benchmem ./internal/mesh
-	$(GO) test -run '^$$' -bench 'BenchmarkUpdateTxn' -benchmem ./internal/proto
+	$(GO) test -run '^$$' -bench 'BenchmarkUpdateTxn|BenchmarkRCInvAccess/sweep256' -benchmem ./internal/proto
 	$(GO) test -run '^$$' -bench 'BenchmarkLitmusSuite|BenchmarkFigureGrid' -benchmem .
 
 # Every benchmark in the repository (slow).

@@ -39,19 +39,24 @@ func (s State) String() string {
 	return "?"
 }
 
-// Line is the per-line metadata tracked by the protocols.
+// Line is the per-line metadata tracked by the protocols: one 16-byte slot
+// of the copy table, fields widest first (TestLineSize pins the size).
 type Line struct {
-	State State
 	// ReadyAt is when the line's most recent fill or ownership acquisition
 	// completes; a processor re-accessing a pending line waits for it.
 	ReadyAt memsys.Time
-	// Updates counts protocol updates received since the last local read
-	// (competitive protocol self-invalidation counter).
-	Updates int
 	// Version is the directory version of the contents this copy holds (see
 	// directory.Entry.Version). A copy whose version trails the directory's
-	// is stale.
-	Version uint64
+	// is stale. The protocols never let a version pass 32 bits: a bump past
+	// math.MaxUint32 panics instead of wrapping.
+	Version uint32
+	// Updates counts protocol updates received since the last local read
+	// (competitive protocol self-invalidation counter). It saturates at
+	// math.MaxUint16; the protocols read it only as min(Updates, 1) and
+	// against a CompThreshold of at most math.MaxUint16, which saturation
+	// leaves exact.
+	Updates uint16
+	State   State
 }
 
 // Cache is a private cache holding Line metadata keyed by line index.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"zsim/internal/memsys"
 )
@@ -230,12 +231,12 @@ func checkSharedTable(t *testing.T, nodes int) {
 		}
 		for line := range want[n] {
 			l, _, _, _ := c.Insert(line)
-			l.Version = uint64(n)
+			l.Version = uint32(n)
 		}
 	}
 	for n, c := range cs {
 		l, ok := c.Lookup(shared)
-		if !ok || l.Version != uint64(n) {
+		if !ok || l.Version != uint32(n) {
 			t.Fatalf("node %d's copy of line %d: ok=%v %+v, want version %d (copies alias)", n, shared, ok, l, n)
 		}
 		if c.Len() != len(want[n]) {
@@ -243,7 +244,7 @@ func checkSharedTable(t *testing.T, nodes int) {
 		}
 		prev, visits := memsys.Addr(0), 0
 		c.ForEach(func(line memsys.Addr, l *Line) {
-			if !want[n][line] || l.Version != uint64(n) {
+			if !want[n][line] || l.Version != uint32(n) {
 				t.Fatalf("node %d: ForEach visits line %d (version %d), which it does not hold", n, line, l.Version)
 			}
 			if visits > 0 && line <= prev {
@@ -322,5 +323,20 @@ func TestInfinitesSharedTable(t *testing.T) {
 func TestInfinitesWide(t *testing.T) {
 	for _, nodes := range []int{513, memsys.MaxProcs} {
 		t.Run(fmt.Sprint(nodes), func(t *testing.T) { checkSharedTable(t, nodes) })
+	}
+}
+
+// TestLineSize pins the copy table's slot at 16 bytes on 64-bit hosts, and
+// with it a finite cache's way at 40: the infinite caches of a many-core
+// machine keep one slot per node for every line any node has touched.
+func TestLineSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("slot sizes are pinned for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(Line{}); n != 16 {
+		t.Fatalf("cache.Line is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(way{}); n != 40 {
+		t.Fatalf("way is %d bytes, want 40", n)
 	}
 }

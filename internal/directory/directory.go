@@ -142,18 +142,25 @@ func (b *Bitset) AppendTo(dst []int) []int {
 // List returns the members in ascending order.
 func (b *Bitset) List() []int { return b.AppendTo(make([]int, 0, b.Count())) }
 
-// Entry is a directory entry for one cache line.
+// Entry is a directory entry for one cache line: one 32-byte slot of the
+// directory's table, fields widest first (TestEntrySize pins the size).
 type Entry struct {
-	State   State
 	Sharers Bitset
-	Owner   int // valid when State == Dirty
 
 	// Version counts the write transactions that have made new contents of
 	// the line globally visible (ownership acquisitions and update fan-outs).
 	// Every valid cached copy must carry the entry's current version; a copy
 	// left behind is a stale copy, the defect the conformance checker's
-	// staleness invariant detects.
+	// staleness invariant detects. A copy holds it in 32 bits
+	// (cache.Line.Version), so the protocols never bump it past
+	// math.MaxUint32; the field stays 64 bits wide because zbench's cost
+	// ledger sums it as a uint64, and the entry is 32 bytes either way.
 	Version uint64
+
+	// Owner is the node holding the line Modified, valid when State ==
+	// Dirty. A node id is below memsys.MaxProcs, so 32 bits hold it.
+	Owner int32
+	State State
 }
 
 func (e *Entry) String() string {

@@ -38,6 +38,7 @@ func TestParamsFromJSONRejectsUntrustedInput(t *testing.T) {
 		{"store buffer zero", `{"StoreBufEntries":0}`, "StoreBufEntries"},
 		{"merge buffer zero", `{"MergeBufLines":0}`, "MergeBufLines"},
 		{"competitive threshold zero", `{"CompThreshold":0}`, "CompThreshold"},
+		{"competitive threshold over 16 bits", `{"CompThreshold":65536}`, "CompThreshold"},
 		{"finite cache incomplete", `{"FiniteCache":true}`, "finite cache"},
 		{"finite cache assoc mismatch", `{"FiniteCache":true,"CacheLines":10,"CacheAssoc":4}`, "CacheAssoc"},
 		{"dir pointers negative", `{"DirPointers":-1}`, "DirPointers"},
@@ -68,6 +69,7 @@ func TestParamsFromJSONBoundaryAccepts(t *testing.T) {
 	}{
 		{"procs at the old 64 ceiling", `{"Procs":64}`},
 		{"procs at the 1024 cap", `{"Procs":1024}`},
+		{"competitive threshold at the 16-bit cap", `{"CompThreshold":65535}`},
 		{"many-core 256", `{"Procs":256}`},
 		{"hier topology", `{"Procs":256,"Topology":"hier"}`},
 		{"single proc", `{"Procs":1}`},

@@ -47,6 +47,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(p *Params) { p.StoreBufEntries = 0 },
 		func(p *Params) { p.MergeBufLines = 0 },
 		func(p *Params) { p.CompThreshold = 0 },
+		func(p *Params) { p.CompThreshold = 65536 },
 		func(p *Params) { p.FiniteCache = true },
 		func(p *Params) { p.FiniteCache = true; p.CacheLines = 10; p.CacheAssoc = 4 },
 	}

@@ -1,6 +1,9 @@
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Params is the architectural parameter block. Defaults reproduce the
 // configuration of the paper's §5 evaluation: a 16-node CC-NUMA with a 4×4
@@ -52,7 +55,10 @@ type Params struct {
 	StoreBufEntries int // store (write) buffer entries per processor
 	MergeBufLines   int // merge buffer capacity in cache lines (update systems)
 
-	CompThreshold int // competitive protocol: updates without a local read before self-invalidation
+	// CompThreshold is the competitive protocol's count of updates without
+	// a local read before a copy self-invalidates, at most math.MaxUint16:
+	// a copy counts its unread updates in 16 bits (cache.Line.Updates).
+	CompThreshold int
 
 	// Finite-cache extension (paper §7 "open issues").
 	FiniteCache bool
@@ -175,8 +181,8 @@ func (pa Params) Validate() error {
 		return fmt.Errorf("memsys: StoreBufEntries = %d, need > 0", pa.StoreBufEntries)
 	case pa.MergeBufLines <= 0:
 		return fmt.Errorf("memsys: MergeBufLines = %d, need > 0", pa.MergeBufLines)
-	case pa.CompThreshold <= 0:
-		return fmt.Errorf("memsys: CompThreshold = %d, need > 0", pa.CompThreshold)
+	case pa.CompThreshold <= 0 || pa.CompThreshold > math.MaxUint16:
+		return fmt.Errorf("memsys: CompThreshold = %d, need 1..%d", pa.CompThreshold, math.MaxUint16)
 	case pa.FiniteCache && (pa.CacheLines <= 0 || pa.CacheAssoc <= 0):
 		return fmt.Errorf("memsys: finite cache needs CacheLines and CacheAssoc > 0")
 	case pa.FiniteCache && pa.CacheLines%pa.CacheAssoc != 0:

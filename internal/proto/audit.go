@@ -44,14 +44,14 @@ func (b *base) AuditConformance() []string {
 		for _, ci := range held {
 			if ci.state == cache.Modified {
 				modified++
-				if e.State != directory.Dirty || e.Owner != ci.node {
+				if e.State != directory.Dirty || int(e.Owner) != ci.node {
 					fail("line %#x: node %d holds a Modified copy but directory is %v", line, ci.node, e)
 				}
 			}
 			if !e.Sharers.Has(ci.node) {
 				fail("line %#x: node %d holds a copy without a presence bit (directory %v)", line, ci.node, e)
 			}
-			if ci.ver != e.Version {
+			if uint64(ci.ver) != e.Version {
 				fail("line %#x: node %d holds a stale copy (copy v%d, directory v%d)", line, ci.node, ci.ver, e.Version)
 			}
 		}
@@ -60,7 +60,7 @@ func (b *base) AuditConformance() []string {
 		}
 		switch e.State {
 		case directory.Dirty:
-			if len(held) != 1 || held[0].node != e.Owner || held[0].state != cache.Modified {
+			if len(held) != 1 || held[0].node != int(e.Owner) || held[0].state != cache.Modified {
 				fail("line %#x: Dirty entry %v but copies %v", line, e, describeCopies(held))
 			}
 		case directory.SharedClean, directory.Special:
@@ -99,7 +99,7 @@ func (b *base) AuditConformance() []string {
 type copyInfo struct {
 	node  int
 	state cache.State
-	ver   uint64
+	ver   uint32
 }
 
 func hasCopy(held []copyInfo, n int) bool {
@@ -134,7 +134,7 @@ func (b *base) CopyVersion(node int, addr memsys.Addr) (copy, current uint64, ca
 	}
 	e, ok := b.dir.Lookup(addr)
 	if !ok {
-		return l.Version, l.Version, true
+		return uint64(l.Version), uint64(l.Version), true
 	}
-	return l.Version, e.Version, true
+	return uint64(l.Version), e.Version, true
 }

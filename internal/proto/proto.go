@@ -12,6 +12,7 @@ package proto
 
 import (
 	"fmt"
+	"math"
 
 	"zsim/internal/cache"
 	"zsim/internal/directory"
@@ -258,8 +259,20 @@ func (b *base) insert(p int, line memsys.Addr, st cache.State, readyAt Time) *ca
 // conformance audit distinguishes a fresh copy from a stale one.
 func (b *base) fill(p int, line memsys.Addr, st cache.State, readyAt Time) *cache.Line {
 	l := b.insert(p, line, st, readyAt)
-	l.Version = b.dir.Entry(line * memsys.Addr(b.p.LineSize)).Version
+	l.Version = uint32(b.dir.Entry(line * memsys.Addr(b.p.LineSize)).Version)
 	return l
+}
+
+// bumpVersion counts a write transaction that makes new contents of the
+// line globally visible: an ownership acquisition or an update fan-out. A
+// copy holds its version in 32 bits (cache.Line.Version), so a bump past
+// math.MaxUint32 panics, naming the line, rather than wrap and leave the
+// audit's stale-copy check and CopyVersion comparing wrapped versions.
+func bumpVersion(e *directory.Entry, line memsys.Addr) {
+	if e.Version >= math.MaxUint32 {
+		panic(fmt.Sprintf("proto: line %#x: version %d would pass the 32 bits a cached copy holds", line, e.Version))
+	}
+	e.Version++
 }
 
 // evict handles a capacity/conflict victim: the directory is notified
@@ -318,13 +331,13 @@ func (b *base) readFill(p int, line memsys.Addr, now Time) Time {
 	e := b.dir.Entry(addr)
 	home := b.home(line)
 	t := b.ctrl(p, home, now) + b.p.DirLatency
-	if e.State == directory.Dirty && e.Owner != p {
+	if owner := int(e.Owner); e.State == directory.Dirty && owner != p {
 		// Forward to the owner; owner supplies data to the requester and
 		// writes back to home (off the critical path).
-		fwd := b.ctrl(home, e.Owner, t)
-		b.data(e.Owner, home, fwd) // sharing writeback
-		t = b.data(e.Owner, p, fwd)
-		if ol, ok := b.caches[e.Owner].Lookup(line); ok {
+		fwd := b.ctrl(home, owner, t)
+		b.data(owner, home, fwd) // sharing writeback
+		t = b.data(owner, p, fwd)
+		if ol, ok := b.caches[owner].Lookup(line); ok {
 			ol.State = cache.Shared
 		}
 		e.State = directory.SharedClean
@@ -348,14 +361,15 @@ func (b *base) ownership(p int, line memsys.Addr, now Time) Time {
 	e := b.dir.Entry(addr)
 	home := b.home(line)
 	t := b.ctrl(p, home, now) + b.p.DirLatency
+	owner := int(e.Owner)
 	switch {
-	case e.State == directory.Dirty && e.Owner != p:
+	case e.State == directory.Dirty && owner != p:
 		// Transfer ownership from the current owner.
-		fwd := b.ctrl(home, e.Owner, t)
-		b.caches[e.Owner].Invalidate(line)
+		fwd := b.ctrl(home, owner, t)
+		b.caches[owner].Invalidate(line)
 		b.ctr.Invalidations++
-		t = b.data(e.Owner, p, fwd)
-	case e.State == directory.Dirty && e.Owner == p:
+		t = b.data(owner, p, fwd)
+	case e.State == directory.Dirty && owner == p:
 		// Already owned (e.g. racing entry in the store buffer): refresh.
 		t = b.ctrl(home, p, t)
 	default:
@@ -376,10 +390,10 @@ func (b *base) ownership(p int, line memsys.Addr, now Time) Time {
 		}
 	}
 	e.State = directory.Dirty
-	e.Owner = p
+	e.Owner = int32(p)
 	e.Sharers.Clear()
 	e.Sharers.Add(p)
-	e.Version++ // new contents become globally visible with this ownership
+	bumpVersion(e, line) // new contents become globally visible with this ownership
 	b.markSeen(p, line)
 	b.fill(p, line, cache.Modified, t)
 	return t

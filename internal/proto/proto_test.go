@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -370,6 +371,85 @@ func TestRCCompReadResetsCounter(t *testing.T) {
 	}
 }
 
+// unreadUpdates has P0 send line 2 (addr 64) n update transactions from
+// now on, each flushed by a release, and returns when the last is done.
+func unreadUpdates(s memsys.MemSystem, n int, now Time) Time {
+	for i := 0; i < n; i++ {
+		s.Write(0, 64, 8, now)
+		now += s.Release(0, now) + 1
+	}
+	return now
+}
+
+// TestUpdatesSaturate drives more unread updates to one sharer than a
+// copy's 16-bit counter holds: the counter stops at MaxUint16, and every
+// update after the first still counts as useless, as an unbounded counter
+// would have it.
+func TestUpdatesSaturate(t *testing.T) {
+	const n = math.MaxUint16 + 1000
+	s := newSys(t, memsys.KindRCUpd)
+	unreadUpdates(s, n, s.Read(1, 64, 8, 0)+1) // P1 shares line 2, never to read it again
+	if got := s.Counters().UselessUpdates; got != n-1 {
+		t.Fatalf("UselessUpdates = %d, want %d", got, n-1)
+	}
+	l, ok := baseOf(s).caches[1].Lookup(2)
+	if !ok || l.Updates != math.MaxUint16 {
+		t.Fatalf("P1's copy after %d unread updates: ok=%v %+v, want Updates %d", n, ok, l, math.MaxUint16)
+	}
+	if msgs := baseOf(s).AuditConformance(); len(msgs) != 0 {
+		t.Fatalf("audit: %v", msgs)
+	}
+}
+
+// TestRCCompThresholdAtCap: with the largest CompThreshold Validate takes,
+// a copy self-invalidates on exactly its 65,535th unread update.
+func TestRCCompThresholdAtCap(t *testing.T) {
+	p := memsys.Default(16)
+	p.CompThreshold = math.MaxUint16
+	s := newSysParams(t, memsys.KindRCComp, p)
+	now := unreadUpdates(s, math.MaxUint16-1, s.Read(1, 64, 8, 0)+1)
+	if _, ok := baseOf(s).caches[1].Lookup(2); !ok || s.Counters().SelfInvalidations != 0 {
+		t.Fatalf("P1's copy is gone after %d unread updates, want it kept", math.MaxUint16-1)
+	}
+	unreadUpdates(s, 1, now)
+	if _, ok := baseOf(s).caches[1].Lookup(2); ok || s.Counters().SelfInvalidations != 1 {
+		t.Fatalf("P1's copy survives its %dth unread update", math.MaxUint16)
+	}
+}
+
+// TestVersionPanicsPastUint32: a copy holds its version in 32 bits, so the
+// write transaction that would bump a line past MaxUint32 panics, naming
+// the line, on both the ownership and the update path; the bump to
+// MaxUint32 itself still leaves every copy exact.
+func TestVersionPanicsPastUint32(t *testing.T) {
+	for _, kind := range []memsys.Kind{memsys.KindRCInv, memsys.KindRCUpd} {
+		t.Run(string(kind), func(t *testing.T) {
+			s := newSys(t, kind)
+			b := baseOf(s)
+			now := s.Read(1, 64, 8, 0) + 1
+			b.dir.Entry(64).Version = math.MaxUint32 - 1
+			write := func(p int) {
+				now += s.Write(p, 64, 8, now) + 1
+				now += s.Release(p, now) + 1
+			}
+			write(0)
+			if cp, cur, ok := b.CopyVersion(0, 64); !ok || cp != math.MaxUint32 || cur != math.MaxUint32 {
+				t.Fatalf("P0's copy after the bump to MaxUint32: v%d, directory v%d, cached=%v", cp, cur, ok)
+			}
+			if msgs := b.AuditConformance(); len(msgs) != 0 {
+				t.Fatalf("audit: %v", msgs)
+			}
+			defer func() {
+				want := "line 0x2: version 4294967295 would pass the 32 bits"
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+					t.Fatalf("recovered %v, want a panic containing %q", r, want)
+				}
+			}()
+			write(1)
+		})
+	}
+}
+
 // --- RCadapt ---
 
 func TestRCAdaptStablePatternBehavesLikeUpdate(t *testing.T) {
@@ -520,18 +600,50 @@ func TestPrefetchReducesStall(t *testing.T) {
 	}
 }
 
+// BenchmarkRCInvAccess times RCinv accesses. mixed16 cycles 16 processors
+// over 1,024 words, one access in three a write. sweep256 replays IS's
+// phase 3 at 256 nodes on a warm copy table: node n sums each column of
+// rows 0..n of a shared count matrix of 64-word rows, so its reads step
+// 16 lines apart, and the nodes take turns, one read each, each at its
+// own point of its own sweep. Every timed read hits. The matrix is 4,096
+// lines, so the table holds a million slots, half of them resident: far
+// more than a host's L2, which is what lets a slot's size show in ns/op.
 func BenchmarkRCInvAccess(b *testing.B) {
-	s := newSys(b, memsys.KindRCInv)
-	now := Time(0)
-	for i := 0; i < b.N; i++ {
-		p := i % 16
-		addr := memsys.Addr(i%1024) * 8
-		if i%3 == 0 {
-			now += s.Write(p, addr, 8, now) + 1
-		} else {
-			now += s.Read(p, addr, 8, now) + 1
+	b.Run("mixed16", func(b *testing.B) {
+		s := newSys(b, memsys.KindRCInv)
+		now := Time(0)
+		for i := 0; i < b.N; i++ {
+			p := i % 16
+			addr := memsys.Addr(i%1024) * 8
+			if i%3 == 0 {
+				now += s.Write(p, addr, 8, now) + 1
+			} else {
+				now += s.Read(p, addr, 8, now) + 1
+			}
 		}
-	}
+	})
+	b.Run("sweep256", func(b *testing.B) {
+		const nodes, cols = 256, 64 // the matrix has a row per node, of cols words
+		s := newSysParams(b, memsys.KindRCInv, memsys.Default(nodes))
+		word := func(q, j int) memsys.Addr { return memsys.Addr(q*cols+j) * 8 }
+		now := Time(0)
+		for n := 0; n < nodes; n++ {
+			for q := 0; q <= n; q++ {
+				for j := 0; j < cols; j += 4 { // one read per 32-byte line
+					now += s.Read(n, word(q, j), 8, now) + 1
+				}
+			}
+		}
+		var row, col [nodes]int // node n's next read
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n := i % nodes
+			now += s.Read(n, word(row[n], col[n]), 8, now) + 1
+			if row[n]++; row[n] > n {
+				row[n], col[n] = 0, (col[n]+1)%cols
+			}
+		}
+	})
 }
 
 // BenchmarkUpdateTxn times one RCupd write fan-out to a full presence set

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"math"
 
 	"zsim/internal/cache"
 	"zsim/internal/directory"
@@ -134,7 +135,8 @@ func (u *upd) updateTxn(p int, line memsys.Addr, t0 Time) Time {
 	e := u.dir.Entry(line * memsys.Addr(u.p.LineSize))
 	home := u.home(line)
 	t := u.data(p, home, t0) + u.p.DirLatency
-	e.Version++ // the fan-out makes new contents globally visible
+	bumpVersion(e, line) // the fan-out makes new contents globally visible
+	version := uint32(e.Version)
 	targets := u.sharers(e, p)
 	if u.dropUpdate && len(targets) > 0 {
 		// Seeded defect: the update to one sharer is lost, leaving its
@@ -153,10 +155,13 @@ func (u *upd) updateTxn(p int, line memsys.Addr, t0 Time) Time {
 			// (evict sends a replacement hint), so this is a protocol bug.
 			panic(fmt.Sprintf("proto: line %#x: presence bit for node %d without a resident copy", line, s))
 		}
-		useless += uint64(min(sl.Updates, 1)) // an update the sharer never read
-		sl.Updates++
-		sl.Version = e.Version
-		if u.mode == updCompetitive && sl.Updates >= u.p.CompThreshold {
+		// The count saturates without a branch on it: it is read only as
+		// min(n, 1) and against a CompThreshold of at most MaxUint16.
+		n := sl.Updates
+		useless += uint64(min(n, 1)) // an update the sharer never read
+		sl.Updates = min(n, math.MaxUint16-1) + 1
+		sl.Version = version
+		if u.mode == updCompetitive && int(sl.Updates) >= u.p.CompThreshold {
 			// Competitive self-invalidation: stop receiving updates.
 			u.caches[s].Invalidate(line)
 			e.Sharers.Remove(s)

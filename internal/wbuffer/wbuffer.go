@@ -201,8 +201,10 @@ func (m *MergeBuffer) Put(line memsys.Addr) (victim memsys.Addr, evicted bool) {
 // Flush removes and returns all merging lines in FIFO order (done at
 // synchronization points to guarantee protocol correctness; the resulting
 // update traffic is the merge buffer's contribution to buffer-flush time).
+// The result shares the buffer's array, which the next Put reuses, so it
+// is valid until then.
 func (m *MergeBuffer) Flush() []memsys.Addr {
 	out := m.lines
-	m.lines = nil
+	m.lines = m.lines[:0]
 	return out
 }

@@ -143,6 +143,25 @@ func TestMergeFlush(t *testing.T) {
 	}
 }
 
+// A merge buffer keeps its array across releases: once warm, cycles of
+// merging, evicting and flushing Puts allocate nothing.
+func TestMergeSteadyStateZeroAlloc(t *testing.T) {
+	m := NewMerge(4)
+	cycle := func() {
+		for l := memsys.Addr(0); l < 6; l++ {
+			m.Put(l)
+			m.Put(l) // combines
+		}
+		if got := m.Flush(); len(got) != 4 || got[0] != 2 {
+			t.Fatalf("flush = %v, want [2 3 4 5]", got)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("steady-state Put/Flush cycles allocate %v times per run", n)
+	}
+}
+
 // Property: the merge buffer never exceeds capacity and never holds
 // duplicates.
 func TestMergeInvariantProperty(t *testing.T) {
