@@ -48,13 +48,16 @@ conformance:
 # cost (random pairs, saturating fan-outs, and fan-outs to random sharer
 # subsets at random gaps), one RCupd update transaction to 64 sharers, RCinv
 # reads that sweep a copy table far larger than the host's L2 at 256 nodes,
-# and the grid benchmarks (litmus suite and full figure matrix at increasing
+# Cholesky's paper-scale host-side set-up and check (the symbolic
+# factorization, and the reference factor with the L·Lᵀ = A check), and the
+# grid benchmarks (litmus suite and full figure matrix at increasing
 # worker-pool bounds). zbench (`bash bench/run.sh`) is the paired
 # end-to-end measurement.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineHotLoop|BenchmarkSync' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkSend' -benchmem ./internal/mesh
 	$(GO) test -run '^$$' -bench 'BenchmarkUpdateTxn|BenchmarkRCInvAccess/sweep256' -benchmem ./internal/proto
+	$(GO) test -run '^$$' -bench 'BenchmarkAnalyze|BenchmarkVerify' -benchmem ./internal/apps/cholesky
 	$(GO) test -run '^$$' -bench 'BenchmarkLitmusSuite|BenchmarkFigureGrid' -benchmem .
 
 # Every benchmark in the repository (slow).

@@ -210,31 +210,50 @@ func (c *CH) Verify(m *machine.Machine) error {
 	return CheckFactor(c.m, s, got)
 }
 
-// CheckFactor verifies L·Lᵀ == A on the dense product (A's zero positions
-// included).
+// CheckFactor verifies L·Lᵀ == A. It forms the residual R = A − L·Lᵀ on
+// L's lower pattern only, one value per factor nonzero, column by column
+// as SequentialFactor builds L: column c of R takes A's column c less
+// L(r,k)·L(c,k) for each column k ≤ c that holds row c, in ascending k as
+// the dense product would. An exact symbolic factorization keeps every
+// such (r, c) inside the pattern, so R is exactly zero elsewhere; a
+// product or an entry of A outside the pattern is an error. Each
+// off-diagonal entry of R counts twice, so the norm is the Frobenius norm
+// over all n² positions.
 func CheckFactor(m *Matrix, s *Sym, val []float64) error {
 	n := s.N
-	// Dense A.
-	a := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			r := m.RowIdx[p]
-			a[r*n+j] = m.Val[p]
-			a[j*n+r] = m.Val[p]
-		}
-	}
-	// Subtract L·Lᵀ column by column.
-	for j := 0; j < n; j++ {
-		for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
-			for q := s.ColPtr[j]; q < s.ColPtr[j+1]; q++ {
-				r1, r2 := s.RowIdx[p], s.RowIdx[q]
-				a[r1*n+r2] -= val[p] * val[q]
-			}
-		}
+	rows := newRowIndex(n, s.ColPtr, s.RowIdx)
+	res := make([]float64, s.NNZ())
+	pos := make([]int, n) // value index of row r in column c; below ColPtr[c] when absent
+	for r := range pos {
+		pos[r] = -1
 	}
 	var norm float64
-	for _, v := range a {
-		norm += v * v
+	for c := 0; c < n; c++ {
+		lo := s.ColPtr[c]
+		for p := lo; p < s.ColPtr[c+1]; p++ {
+			pos[s.RowIdx[p]] = p
+		}
+		for p := m.ColPtr[c]; p < m.ColPtr[c+1]; p++ {
+			r := m.RowIdx[p]
+			if pos[r] < lo {
+				return fmt.Errorf("cholesky: A(%d,%d) lies outside the factor's pattern", r, c)
+			}
+			res[pos[r]] = m.Val[p]
+		}
+		for _, e := range rows.row(c) {
+			lck := val[e.pos]
+			for p := e.pos; p < s.ColPtr[e.col+1]; p++ {
+				r := s.RowIdx[p]
+				if pos[r] < lo {
+					return fmt.Errorf("cholesky: L·Lᵀ(%d,%d) lies outside the factor's pattern", r, c)
+				}
+				res[pos[r]] -= val[p] * lck
+			}
+		}
+		norm += res[lo] * res[lo]
+		for p := lo + 1; p < s.ColPtr[c+1]; p++ {
+			norm += 2 * res[p] * res[p]
+		}
 	}
 	norm = math.Sqrt(norm)
 	if norm > 1e-8*float64(n) {

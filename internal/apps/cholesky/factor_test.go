@@ -1,7 +1,10 @@
 package cholesky
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -95,4 +98,148 @@ func TestFactorRejectsIndefinite(t *testing.T) {
 		}
 	}()
 	SequentialFactor(m, s)
+}
+
+// A factor with one value off by one part in a million fails the check:
+// each diagonal in turn, at the 8×8 grid. The dense check agrees.
+func TestCheckFactorRejectsPerturbedValue(t *testing.T) {
+	m := GridLaplacian(8)
+	s := Analyze(m)
+	val := SequentialFactor(m, s)
+	if err := CheckFactor(m, s, val); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < s.N; j++ {
+		p := s.ColPtr[j]
+		v := val[p]
+		val[p] *= 1 + 1e-6
+		err, dense := CheckFactor(m, s, val), checkFactorDense(m, s, val)
+		val[p] = v
+		if err == nil || dense == nil {
+			t.Fatalf("L(%d,%d) off by 1e-6 relative: check %v, dense check %v", j, j, err, dense)
+		}
+	}
+}
+
+// A pattern missing one entry fails the check, which names the entry: a
+// fill entry through the product that lands on it, an entry of A through
+// A itself.
+func TestCheckFactorRejectsMissingEntry(t *testing.T) {
+	m := GridLaplacian(5)
+	s := Analyze(m)
+	val := SequentialFactor(m, s)
+	fills := 0
+	for j := 0; j < s.N; j++ {
+		for p := s.ColPtr[j] + 1; p < s.ColPtr[j+1]; p++ {
+			r := s.RowIdx[p]
+			want := fmt.Sprintf("L·Lᵀ(%d,%d) lies outside", r, j)
+			if slices.Contains(m.RowIdx[m.ColPtr[j]:m.ColPtr[j+1]], r) {
+				want = fmt.Sprintf("A(%d,%d) lies outside", r, j)
+			} else {
+				fills++
+			}
+			s2, val2 := withoutEntry(s, val, p)
+			if err := CheckFactor(m, s2, val2); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("pattern without (%d,%d): got %v, want %q", r, j, err, want)
+			}
+		}
+	}
+	if fills == 0 {
+		t.Fatal("the 5×5 grid's factor has no fill entry")
+	}
+}
+
+// withoutEntry returns s and val with value index p removed.
+func withoutEntry(s *Sym, val []float64, p int) (*Sym, []float64) {
+	t := *s
+	t.RowIdx = slices.Delete(slices.Clone(s.RowIdx), p, p+1)
+	t.ColPtr = slices.Clone(s.ColPtr)
+	for j := range t.ColPtr {
+		if t.ColPtr[j] > p {
+			t.ColPtr[j]--
+		}
+	}
+	return &t, slices.Delete(slices.Clone(val), p, p+1)
+}
+
+// Verify's host-side work takes memory linear in the factor: the check
+// and the reference factor each allocate fewer than 64 bytes per factor
+// nonzero at paper scale, where a dense n×n residual alone takes 264.
+func TestVerifyMemoryLinear(t *testing.T) {
+	m := GridLaplacian(Paper().Grid)
+	s := Analyze(m)
+	val := SequentialFactor(m, s)
+	if err := CheckFactor(m, s, val); err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(64 * s.NNZ())
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"CheckFactor", func() { _ = CheckFactor(m, s, val) }},
+		{"SequentialFactor", func() { SequentialFactor(m, s) }},
+	} {
+		r := testing.Benchmark(func(b *testing.B) {
+			for range b.N {
+				c.f()
+			}
+		})
+		if got := r.AllocedBytesPerOp(); got >= limit {
+			t.Errorf("%s allocates %d bytes per call, want fewer than %d (64 per nonzero)", c.name, got, limit)
+		}
+	}
+}
+
+// checkFactorDense is the first L·Lᵀ == A check, on a dense n×n copy of A.
+func checkFactorDense(m *Matrix, s *Sym, val []float64) error {
+	n := s.N
+	a := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			r := m.RowIdx[p]
+			a[r*n+j] = m.Val[p]
+			a[j*n+r] = m.Val[p]
+		}
+	}
+	for j := 0; j < n; j++ {
+		for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
+			for q := s.ColPtr[j]; q < s.ColPtr[j+1]; q++ {
+				r1, r2 := s.RowIdx[p], s.RowIdx[q]
+				a[r1*n+r2] -= val[p] * val[q]
+			}
+		}
+	}
+	var norm float64
+	for _, v := range a {
+		norm += v * v
+	}
+	norm = math.Sqrt(norm)
+	if norm > 1e-8*float64(n) {
+		return fmt.Errorf("cholesky: ||L·Lᵀ − A|| = %g too large", norm)
+	}
+	return nil
+}
+
+// BenchmarkAnalyze is the paper-scale symbolic factorization each
+// Cholesky instance runs once.
+func BenchmarkAnalyze(b *testing.B) {
+	m := GridLaplacian(Paper().Grid)
+	b.ReportAllocs()
+	for range b.N {
+		Analyze(m)
+	}
+}
+
+// BenchmarkVerify is Verify's host-side work at paper scale: the reference
+// factor and the L·Lᵀ == A check.
+func BenchmarkVerify(b *testing.B) {
+	m := GridLaplacian(Paper().Grid)
+	s := Analyze(m)
+	b.ReportAllocs()
+	for range b.N {
+		if err := CheckFactor(m, s, SequentialFactor(m, s)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package cholesky
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Matrix is a sparse symmetric positive definite matrix in
@@ -70,152 +71,141 @@ func (s *Sym) ColRows(j int) []int { return s.RowIdx[s.ColPtr[j]:s.ColPtr[j+1]] 
 // SnodeCols returns the [first, last] column range of supernode sn.
 func (s *Sym) SnodeCols(sn int) (lo, hi int) { return s.SnodeStart[sn], s.SnodeStart[sn+1] - 1 }
 
-// Analyze computes the symbolic factorization of m.
+// Analyze computes the symbolic factorization of m. It sizes every slice
+// of the Sym once: a first pass over the rows finds the elimination tree
+// and each column's count, and a second writes the row indices in place.
+// Row i of the factor is the union of the elimination-tree paths from each
+// k < i with A(i,k) ≠ 0 up to i (George and Liu), so each pass costs
+// O(nnz(L)) and needs only A's rows, an n-entry mark and one cursor per
+// column. Row i's own diagonal stops its walk at once.
 func Analyze(m *Matrix) *Sym {
 	n := m.N
 	s := &Sym{N: n, ColPtr: make([]int, n+1), Parent: make([]int, n)}
-	children := make([][]int, n)
-	patterns := make([][]int, n) // struct(j) excluding j, ascending
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
+	rows := newRowIndex(n, m.ColPtr, m.RowIdx)
+	mark, next := make([]int, n), make([]int, n)
+	for i := range n {
+		s.Parent[i], mark[i] = -1, -1
 	}
-	for j := 0; j < n; j++ {
-		var pat []int
-		mark[j] = j
-		// A's pattern below the diagonal.
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			r := m.RowIdx[p]
-			if r > j && mark[r] != j {
-				mark[r] = j
-				pat = append(pat, r)
-			}
-		}
-		// Children's patterns (rows > j).
-		for _, c := range children[j] {
-			for _, r := range patterns[c] {
-				if r > j && mark[r] != j {
-					mark[r] = j
-					pat = append(pat, r)
+	// The tree and the counts: next[k] counts column k's rows below k. The
+	// first row to reach a root of the tree so far is its parent.
+	for i := range n {
+		mark[i] = i
+		for _, e := range rows.row(i) {
+			for k := e.col; mark[k] != i; k = s.Parent[k] {
+				mark[k] = i
+				next[k]++
+				if s.Parent[k] == -1 {
+					s.Parent[k] = i
 				}
 			}
 		}
-		insertionSort(pat)
-		patterns[j] = pat
-		if len(pat) > 0 {
-			s.Parent[j] = pat[0]
-			children[pat[0]] = append(children[pat[0]], j)
-		} else {
-			s.Parent[j] = -1
+	}
+	for j := range n {
+		s.ColPtr[j+1] = s.ColPtr[j] + 1 + next[j]
+	}
+	// The pattern, diagonal first: rows arrive in ascending order, so each
+	// column's cursor writes them sorted.
+	s.RowIdx = make([]int, s.ColPtr[n])
+	for j := range n {
+		s.RowIdx[s.ColPtr[j]] = j
+		next[j], mark[j] = s.ColPtr[j]+1, -1
+	}
+	for i := range n {
+		mark[i] = i
+		for _, e := range rows.row(i) {
+			for k := e.col; mark[k] != i; k = s.Parent[k] {
+				mark[k] = i
+				s.RowIdx[next[k]] = i
+				next[k]++
+			}
 		}
 	}
-	// Assemble the compressed pattern (diagonal first).
-	for j := 0; j < n; j++ {
-		s.ColPtr[j] = len(s.RowIdx)
-		s.RowIdx = append(s.RowIdx, j)
-		s.RowIdx = append(s.RowIdx, patterns[j]...)
-	}
-	s.ColPtr[n] = len(s.RowIdx)
-
-	s.findSupernodes(patterns)
+	s.findSupernodes()
 	s.findTargets()
 	return s
 }
 
 // findSupernodes merges consecutive columns with nested structure:
-// struct(j) \ {j+1} == struct(j+1) and parent(j) == j+1.
-func (s *Sym) findSupernodes(patterns [][]int) {
+// struct(j) \ {j+1} == struct(j+1) and parent(j) == j+1. Column j-1's rows
+// after its diagonal are then exactly column j's rows.
+func (s *Sym) findSupernodes() {
 	n := s.N
 	s.Snode = make([]int, n)
-	s.SnodeStart = []int{0}
+	ns := 1
 	for j := 1; j < n; j++ {
-		join := s.Parent[j-1] == j && len(patterns[j-1]) == len(patterns[j])+1
-		if join {
-			// patterns[j-1] = {j} ∪ patterns[j]?
-			for i, r := range patterns[j] {
-				if patterns[j-1][i+1] != r {
-					join = false
-					break
-				}
-			}
+		if !slices.Equal(s.ColRows(j - 1)[1:], s.ColRows(j)) {
+			ns++
 		}
-		if !join {
-			s.SnodeStart = append(s.SnodeStart, j)
-		}
-		s.Snode[j] = len(s.SnodeStart) - 1
+		s.Snode[j] = ns - 1
 	}
-	s.SnodeStart = append(s.SnodeStart, n)
-	for sn := 0; sn < s.NS(); sn++ {
-		for j := s.SnodeStart[sn]; j < s.SnodeStart[sn+1]; j++ {
-			s.Snode[j] = sn
+	s.SnodeStart = make([]int, ns+1)
+	for j := 1; j < n; j++ {
+		if s.Snode[j] != s.Snode[j-1] {
+			s.SnodeStart[s.Snode[j]] = j
 		}
 	}
+	s.SnodeStart[ns] = n
 }
 
 // findTargets computes, per supernode, the distinct later supernodes whose
-// columns it updates, and each supernode's dependency count.
+// columns it updates, and each supernode's dependency count. The lists
+// share one backing array, sized by a counting pass; a supernode without
+// targets keeps a nil list.
 func (s *Sym) findTargets() {
 	ns := s.NS()
-	s.Targets = make([][]int, ns)
-	s.DepCount = make([]int, ns)
-	seen := make([]int, ns)
-	for i := range seen {
-		seen[i] = -1
+	total, buf := 0, []int(nil)
+	for sn := range ns {
+		buf = s.appendTargets(buf[:0], sn)
+		total += len(buf)
 	}
-	for sn := 0; sn < ns; sn++ {
-		lo, hi := s.SnodeCols(sn)
-		for j := lo; j <= hi; j++ {
-			for _, r := range s.ColRows(j)[1:] {
-				t := s.Snode[r]
-				if t != sn && seen[t] != sn {
-					seen[t] = sn
-					s.Targets[sn] = append(s.Targets[sn], t)
-					s.DepCount[t]++
-				}
-			}
+	s.Targets, s.DepCount = make([][]int, ns), make([]int, ns)
+	all := make([]int, 0, total)
+	for sn := range ns {
+		from := len(all)
+		if all = s.appendTargets(all, sn); len(all) > from {
+			s.Targets[sn] = all[from:len(all):len(all)]
 		}
-		insertionSort(s.Targets[sn])
+	}
+	for _, t := range all {
+		s.DepCount[t]++
 	}
 }
 
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
+// appendTargets appends to dst the distinct later supernodes that sn
+// updates. A supernode's columns share their rows below it, so these are
+// the supernodes of its last column's rows below the diagonal: ascending,
+// and equal ones adjacent.
+func (s *Sym) appendTargets(dst []int, sn int) []int {
+	_, hi := s.SnodeCols(sn)
+	prev := sn
+	for _, r := range s.ColRows(hi)[1:] {
+		if t := s.Snode[r]; t != prev {
+			dst, prev = append(dst, t), t
 		}
-		a[j+1] = v
 	}
+	return dst
 }
 
 // SequentialFactor computes the numeric factor on plain slices (left-looking
 // column Cholesky over the symbolic pattern) — the reference the parallel
-// run is compared against.
+// run is compared against. Column j takes its updates from the columns
+// whose structure holds row j, in ascending order, read off the factor's
+// row index.
 func SequentialFactor(m *Matrix, s *Sym) []float64 {
 	val := initialValues(m, s)
 	n := s.N
+	rows := newRowIndex(n, s.ColPtr, s.RowIdx)
 	pos := make([]int, n)
 	for j := 0; j < n; j++ {
-		// Apply updates from every column i < j with j in struct(i).
-		// Gather them via the row structure: walk columns i where j appears.
-		// For simplicity (reference code), scan all prior columns of the
-		// pattern via the elimination tree reach: a column i updates j iff
-		// j ∈ struct(i), which we detect by binary search.
-		for i := 0; i < j; i++ {
-			pi := findRow(s, i, j)
-			if pi < 0 {
-				continue
-			}
-			ljk := val[pi]
-			// Scatter positions of column j.
-			for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
-				pos[s.RowIdx[p]] = p
-			}
-			for p := pi; p < s.ColPtr[i+1]; p++ {
-				r := s.RowIdx[p]
-				val[pos[r]] -= val[p] * ljk
+		// Scatter positions of column j.
+		for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
+			pos[s.RowIdx[p]] = p
+		}
+		row := rows.row(j)
+		for _, e := range row[:len(row)-1] {
+			ljk := val[e.pos]
+			for p := e.pos; p < s.ColPtr[e.col+1]; p++ {
+				val[pos[s.RowIdx[p]]] -= val[p] * ljk
 			}
 		}
 		// cdiv.
@@ -231,6 +221,38 @@ func SequentialFactor(m *Matrix, s *Sym) []float64 {
 	}
 	return val
 }
+
+// rowIndex lists the entries of an n×n lower-triangular pattern in
+// compressed-column form (A's or the factor's) by row, each row in
+// ascending column order, so its diagonal comes last.
+type rowIndex struct {
+	start []int      // row r's entries are ents[start[r]:start[r+1]]
+	ents  []rowEntry // entry (r, col) sits at value index pos
+}
+
+type rowEntry struct{ col, pos int }
+
+func newRowIndex(n int, colPtr, rowIdx []int) rowIndex {
+	x := rowIndex{start: make([]int, n+1)}
+	for _, r := range rowIdx[:colPtr[n]] {
+		x.start[r+1]++
+	}
+	for r := range n {
+		x.start[r+1] += x.start[r]
+	}
+	x.ents = make([]rowEntry, colPtr[n])
+	next := slices.Clone(x.start[:n])
+	for j := range n {
+		for p := colPtr[j]; p < colPtr[j+1]; p++ {
+			r := rowIdx[p]
+			x.ents[next[r]] = rowEntry{col: j, pos: p}
+			next[r]++
+		}
+	}
+	return x
+}
+
+func (x rowIndex) row(r int) []rowEntry { return x.ents[x.start[r]:x.start[r+1]] }
 
 // initialValues spreads A's numeric values over the factor pattern
 // (fill positions start at zero).
@@ -262,6 +284,17 @@ func findRow(s *Sym, i, r int) int {
 			lo = mid + 1
 		default:
 			hi = mid
+		}
+	}
+	return -1
+}
+
+// seek returns the value index of row r in column c, searching forward
+// from value index t, or -1 when column c holds no row r at or after t.
+func (s *Sym) seek(c, t, r int) int {
+	for end := s.ColPtr[c+1]; t < end && s.RowIdx[t] <= r; t++ {
+		if s.RowIdx[t] == r {
+			return t
 		}
 	}
 	return -1

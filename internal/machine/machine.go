@@ -38,7 +38,7 @@ type Machine struct {
 	// steady-state allocation.
 	values memsys.Paged[uint64]
 	procs  []stats.Proc
-	envs   []*Env
+	envs   []Env
 	// met is the machine's own metrics registry; every component is wired
 	// to it at construction, the run's totals are harvested into it when
 	// Run finishes, and it is then merged into metrics.Default. Recording
@@ -77,6 +77,7 @@ func New(kind memsys.Kind, p memsys.Params) (*Machine, error) {
 		Mem:      mem,
 		Heap:     shm.NewHeap(p.LineSize),
 		procs:    make([]stats.Proc, p.Procs),
+		envs:     make([]Env, p.Procs),
 		coreFree: make([]Time, p.Nodes()),
 		met:      metrics.NewRegistry(),
 		threads:  p.HWThreads,
@@ -86,8 +87,8 @@ func New(kind memsys.Kind, p memsys.Params) (*Machine, error) {
 	if ins, ok := mem.(metrics.Instrumentable); ok {
 		ins.InstrumentMetrics(m.met)
 	}
-	for i := 0; i < p.Procs; i++ {
-		m.envs = append(m.envs, &Env{m: m, p: m.Eng.Proc(i), st: &m.procs[i]})
+	for i := range m.envs {
+		m.envs[i] = Env{m: m, p: m.Eng.Proc(i), st: &m.procs[i]}
 	}
 	return m, nil
 }
@@ -174,7 +175,7 @@ func (m *Machine) Run(app string, body func(e *Env)) *stats.Result {
 	}
 	m.ran = true
 	exec := m.Eng.Run(func(p *sim.Proc) {
-		body(m.envs[p.ID()])
+		body(&m.envs[p.ID()])
 	})
 	m.chk.Finish()
 	if metrics.Enabled() {

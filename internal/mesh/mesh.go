@@ -186,13 +186,13 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 		return start
 	}
 	transfer := n.transfer(bytes)
-	t, queued, hops := n.walk(src, dst, transfer, start)
+	t, hops := n.walk(src, dst, transfer, start)
 	if n.mHops != nil && metrics.Enabled() {
 		n.mHops.Observe(uint64(hops))
 	}
 	n.msgs++
 	n.bytes += uint64(bytes)
-	n.queueing += queued
+	n.queueing += t - start - Time(hops)*(n.hopLatency+transfer)
 	n.occupied += transfer * Time(hops)
 	return t
 }
@@ -210,62 +210,64 @@ func (n *Net) Fan(src int, dsts []int, out, back int, t Time) (latest Time, trip
 	outT, backT := n.transfer(out), n.transfer(back)
 	observe := n.mHops != nil && metrics.Enabled()
 	latest = t
-	var queued Time
+	var spent Time // the round trips' summed durations
 	var outHops, backHops int32
 	for _, d := range dsts {
 		if d == src {
 			continue
 		}
-		at, q1, h1 := n.walk(src, d, outT, t)
-		r, q2, h2 := n.walk(d, src, backT, at)
+		at, h1 := n.walk(src, d, outT, t)
+		r, h2 := n.walk(d, src, backT, at)
 		if observe {
 			n.mHops.Observe(uint64(h1))
 			n.mHops.Observe(uint64(h2))
 		}
 		latest = max(latest, r)
-		queued += q1 + q2
+		spent += r - t
 		outHops += h1
 		backHops += h2
 		trips++
 	}
+	occupied := outT*Time(outHops) + backT*Time(backHops)
 	n.msgs += 2 * uint64(trips)
 	n.bytes += uint64(trips) * uint64(out+back)
-	n.queueing += queued
-	n.occupied += outT*Time(outHops) + backT*Time(backHops)
+	n.queueing += spent - Time(outHops+backHops)*n.hopLatency - occupied
+	n.occupied += occupied
 	return latest, trips
 }
 
 // walk books the links of the route from src to dst for a message that
 // occupies each link for transfer cycles from its injection at start. It
-// returns the arrival time, the cycles the message queued and its hop
-// count, and leaves the statistics to its caller. It is the one walk Send
-// and Fan share: a tabulated route is one flat loop over its link ids; above
-// tableNodes the route comes from Topology.Route as strided runs.
-func (n *Net) walk(src, dst int, transfer, start Time) (t, queued Time, hops int32) {
-	busy, hop := n.busy, n.hopLatency
-	t = start
+// returns the arrival time and the hop count, and leaves the statistics to
+// its caller: each hop took hop + transfer cycles plus its wait for the
+// link, so the message queued for its arrival less start less hops times
+// that. It is the one walk Send and Fan share: a tabulated route is one
+// flat loop over its link ids; above tableNodes the route comes from
+// Topology.Route as strided runs.
+func (n *Net) walk(src, dst int, transfer, start Time) (Time, int32) {
+	busy, hop, t := n.busy, n.hopLatency, start
 	if n.at == nil && n.nodes > tableNodes {
 		for _, r := range n.route(src, dst) {
-			l := r.First
-			for k := r.Len; k > 0; k-- {
+			for k, l := r.Len, r.First; k > 0; k, l = k-1, l+r.Stride {
 				t = book(busy, l, hop, transfer, t)
-				l += r.Stride
 			}
+		}
+		// Counted apart from the booking, which needs every register.
+		var hops int32
+		for _, r := range n.runs {
 			hops += r.Len
 		}
-	} else {
-		if n.at == nil {
-			n.tabulate()
-		}
-		i := src*n.nodes + dst
-		links := n.links[n.at[i]:n.at[i+1]]
-		for _, l := range links {
-			t = book(busy, l, hop, transfer, t)
-		}
-		hops = int32(len(links))
+		return t, hops
 	}
-	// Each hop took hop + transfer cycles plus its wait for the link.
-	return t, t - start - Time(hops)*(hop+transfer), hops
+	if n.at == nil {
+		n.tabulate()
+	}
+	i := src*n.nodes + dst
+	links := n.links[n.at[i]:n.at[i+1]]
+	for _, l := range links {
+		t = book(busy, l, hop, transfer, t)
+	}
+	return t, int32(len(links))
 }
 
 // book books link l for a message that reaches it at t and returns when the

@@ -19,17 +19,18 @@ import (
 // whose fills complete in the background.
 type inv struct {
 	base
-	sb   []*wbuffer.StoreBuffer
+	sb   []wbuffer.StoreBuffer
 	sc   bool // sequentially consistent variant
 	lazy bool // rcsync: releases never drain; consumers wait on the watermark
 }
 
 func newInv(p memsys.Params, net *mesh.Net, sc, lazy bool) *inv {
-	v := &inv{base: newBase(p, net), sc: sc, lazy: lazy}
-	for i := 0; i < p.Nodes(); i++ {
-		v.sb = append(v.sb, wbuffer.NewStore(p.StoreBufEntries))
+	return &inv{
+		base: newBase(p, net),
+		sb:   wbuffer.NewStores(p.Nodes(), p.StoreBufEntries),
+		sc:   sc,
+		lazy: lazy,
 	}
-	return v
 }
 
 // InstrumentMetrics wires the store buffers' per-event metric handles

@@ -122,13 +122,13 @@ func (b *base) Counters() *memsys.Counters { return b.ctr.Fold() }
 
 // instrumentStoreBuffers wires every node's store buffer to one shared set
 // of metric handles (per-node attribution is not needed by the gate).
-func (b *base) instrumentStoreBuffers(r *metrics.Registry, sbs []*wbuffer.StoreBuffer) {
+func (b *base) instrumentStoreBuffers(r *metrics.Registry, sbs []wbuffer.StoreBuffer) {
 	occ := r.Histogram("wbuffer.occupancy", wbuffer.OccupancyBuckets)
 	full := r.Counter("wbuffer.full_stall_cycles")
 	flush := r.Counter("wbuffer.flush_stall_cycles")
 	flushes := r.Counter("wbuffer.flushes")
-	for _, sb := range sbs {
-		sb.Instrument(occ, full, flush, flushes)
+	for i := range sbs {
+		sbs[i].Instrument(occ, full, flush, flushes)
 	}
 }
 

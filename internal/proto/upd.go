@@ -31,18 +31,18 @@ const (
 
 type upd struct {
 	base
-	sb   []*wbuffer.StoreBuffer
-	mb   []*wbuffer.MergeBuffer
+	sb   []wbuffer.StoreBuffer
+	mb   []wbuffer.MergeBuffer
 	mode updMode
 }
 
 func newUpd(p memsys.Params, net *mesh.Net, mode updMode) *upd {
-	u := &upd{base: newBase(p, net), mode: mode}
-	for i := 0; i < p.Nodes(); i++ {
-		u.sb = append(u.sb, wbuffer.NewStore(p.StoreBufEntries))
-		u.mb = append(u.mb, wbuffer.NewMerge(p.MergeBufLines))
+	return &upd{
+		base: newBase(p, net),
+		sb:   wbuffer.NewStores(p.Nodes(), p.StoreBufEntries),
+		mb:   wbuffer.NewMerges(p.Nodes(), p.MergeBufLines),
+		mode: mode,
 	}
-	return u
 }
 
 // InstrumentMetrics wires the store and merge buffers' per-event metric
@@ -51,8 +51,8 @@ func (u *upd) InstrumentMetrics(r *metrics.Registry) {
 	u.instrumentStoreBuffers(r, u.sb)
 	merges := r.Counter("wbuffer.merges")
 	evictions := r.Counter("wbuffer.merge_evictions")
-	for _, mb := range u.mb {
-		mb.Instrument(merges, evictions)
+	for i := range u.mb {
+		u.mb[i].Instrument(merges, evictions)
 	}
 }
 

@@ -199,11 +199,13 @@ func NewEngine(n int) *Engine {
 		panic("sim: engine needs at least one processor")
 	}
 	e := &Engine{
-		procs: make([]*Proc, 0, n),
+		procs: make([]*Proc, n),
 		runq:  newRunQueue(n),
 	}
-	for i := 0; i < n; i++ {
-		e.procs = append(e.procs, &Proc{id: i, eng: e})
+	procs := make([]Proc, n)
+	for i := range procs {
+		procs[i] = Proc{id: i, eng: e}
+		e.procs[i] = &procs[i]
 	}
 	return e
 }

@@ -44,12 +44,17 @@ func (b *StoreBuffer) Instrument(occupancy *metrics.Histogram, fullStall, flushS
 	b.mFlushes = flushes
 }
 
-// NewStore returns a store buffer with the given number of entries.
-func NewStore(entries int) *StoreBuffer {
+// NewStores returns n store buffers with the given number of entries each,
+// one per node of a machine, in one allocation.
+func NewStores(n, entries int) []StoreBuffer {
 	if entries <= 0 {
 		panic("wbuffer: store buffer needs at least one entry")
 	}
-	return &StoreBuffer{cap: entries}
+	b := make([]StoreBuffer, n)
+	for i := range b {
+		b[i].cap = entries
+	}
+	return b
 }
 
 // Cap returns the buffer's capacity.
@@ -154,12 +159,17 @@ func (m *MergeBuffer) Instrument(merges, evictions *metrics.Counter) {
 	m.mEvictions = evictions
 }
 
-// NewMerge returns a merge buffer holding cap cache lines (the paper uses 1).
-func NewMerge(cap int) *MergeBuffer {
+// NewMerges returns n merge buffers holding cap cache lines each (the
+// paper uses 1), one per node of a machine, in one allocation.
+func NewMerges(n, cap int) []MergeBuffer {
 	if cap <= 0 {
 		panic("wbuffer: merge buffer needs at least one line")
 	}
-	return &MergeBuffer{cap: cap}
+	m := make([]MergeBuffer, n)
+	for i := range m {
+		m[i].cap = cap
+	}
+	return m
 }
 
 // Cap returns the merge buffer capacity in lines.

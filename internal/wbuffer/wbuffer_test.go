@@ -8,7 +8,7 @@ import (
 )
 
 func TestReserveFreeWhenEmpty(t *testing.T) {
-	b := NewStore(4)
+	b := &NewStores(1, 4)[0]
 	if s := b.Reserve(10); s != 0 {
 		t.Fatalf("stall = %d on empty buffer, want 0", s)
 	}
@@ -19,7 +19,7 @@ func TestReserveFreeWhenEmpty(t *testing.T) {
 }
 
 func TestReserveStallsWhenFull(t *testing.T) {
-	b := NewStore(2)
+	b := &NewStores(1, 2)[0]
 	b.Add(100)
 	b.Add(50)
 	stall := b.Reserve(10)
@@ -33,7 +33,7 @@ func TestReserveStallsWhenFull(t *testing.T) {
 }
 
 func TestEntriesRetireWithTime(t *testing.T) {
-	b := NewStore(2)
+	b := &NewStores(1, 2)[0]
 	b.Add(30)
 	b.Add(40)
 	if s := b.Reserve(35); s != 0 {
@@ -42,7 +42,7 @@ func TestEntriesRetireWithTime(t *testing.T) {
 }
 
 func TestDrainStall(t *testing.T) {
-	b := NewStore(4)
+	b := &NewStores(1, 4)[0]
 	b.Add(100)
 	b.Add(70)
 	if s := b.DrainStall(60); s != 40 {
@@ -57,7 +57,7 @@ func TestDrainStall(t *testing.T) {
 }
 
 func TestDrainStallPastCompletion(t *testing.T) {
-	b := NewStore(4)
+	b := &NewStores(1, 4)[0]
 	b.Add(10)
 	if s := b.DrainStall(50); s != 0 {
 		t.Fatalf("drain stall = %d, want 0 when all retired", s)
@@ -70,7 +70,7 @@ func TestAddWithoutSlotPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	b := NewStore(1)
+	b := &NewStores(1, 1)[0]
 	b.Add(10)
 	b.Add(20)
 }
@@ -80,7 +80,7 @@ func TestAddWithoutSlotPanics(t *testing.T) {
 // the earliest completion when full.
 func TestStoreOccupancyProperty(t *testing.T) {
 	f := func(deltas []uint8) bool {
-		b := NewStore(4)
+		b := &NewStores(1, 4)[0]
 		var now memsys.Time
 		for _, d := range deltas {
 			now += memsys.Time(d % 16)
@@ -99,7 +99,7 @@ func TestStoreOccupancyProperty(t *testing.T) {
 }
 
 func TestMergeCombines(t *testing.T) {
-	m := NewMerge(1)
+	m := &NewMerges(1, 1)[0]
 	if v, ev := m.Put(5); ev {
 		t.Fatalf("first put evicted %d", v)
 	}
@@ -115,7 +115,7 @@ func TestMergeCombines(t *testing.T) {
 }
 
 func TestMergeEvictsOldestFIFO(t *testing.T) {
-	m := NewMerge(2)
+	m := &NewMerges(1, 2)[0]
 	m.Put(1)
 	m.Put(2)
 	v, ev := m.Put(3)
@@ -128,7 +128,7 @@ func TestMergeEvictsOldestFIFO(t *testing.T) {
 }
 
 func TestMergeFlush(t *testing.T) {
-	m := NewMerge(3)
+	m := &NewMerges(1, 3)[0]
 	m.Put(7)
 	m.Put(8)
 	lines := m.Flush()
@@ -146,7 +146,7 @@ func TestMergeFlush(t *testing.T) {
 // A merge buffer keeps its array across releases: once warm, cycles of
 // merging, evicting and flushing Puts allocate nothing.
 func TestMergeSteadyStateZeroAlloc(t *testing.T) {
-	m := NewMerge(4)
+	m := &NewMerges(1, 4)[0]
 	cycle := func() {
 		for l := memsys.Addr(0); l < 6; l++ {
 			m.Put(l)
@@ -166,7 +166,7 @@ func TestMergeSteadyStateZeroAlloc(t *testing.T) {
 // duplicates.
 func TestMergeInvariantProperty(t *testing.T) {
 	f := func(lines []uint8) bool {
-		m := NewMerge(3)
+		m := &NewMerges(1, 3)[0]
 		for _, l := range lines {
 			m.Put(memsys.Addr(l % 8))
 			if m.Len() > 3 {
@@ -188,7 +188,7 @@ func TestMergeInvariantProperty(t *testing.T) {
 }
 
 func TestConstructorPanics(t *testing.T) {
-	for _, f := range []func(){func() { NewStore(0) }, func() { NewMerge(0) }} {
+	for _, f := range []func(){func() { NewStores(1, 0) }, func() { NewMerges(1, 0) }} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -201,7 +201,7 @@ func TestConstructorPanics(t *testing.T) {
 }
 
 func TestWatermark(t *testing.T) {
-	b := NewStore(4)
+	b := &NewStores(1, 4)[0]
 	if wm := b.Watermark(50); wm != 50 {
 		t.Fatalf("empty watermark = %d, want now", wm)
 	}
