@@ -115,11 +115,16 @@ func newHistogram(bounds []uint64) *Histogram {
 	return &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
 }
 
-// Observe records one value.
+// Observe records one value. The recording is out of line, so this gate
+// inlines and a disabled site pays no call.
 func (h *Histogram) Observe(v uint64) {
 	if h == nil || !on.Load() {
 		return
 	}
+	h.record(v)
+}
+
+func (h *Histogram) record(v uint64) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
 	h.buckets[i].Add(1)
 	h.count.Add(1)

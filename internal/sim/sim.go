@@ -3,21 +3,26 @@
 // paper: simulated processors run real Go code and trap into the simulator on
 // every globally visible operation (shared memory access, synchronization).
 //
-// Each simulated processor body is a coroutine (iter.Pull) driven by the
-// engine, so exactly one body runs at any instant and every hand-off is a
-// direct coroutine switch that bypasses the Go scheduler. Every processor
-// carries a local virtual clock; pure computation advances the clock without
-// involving the scheduler, while globally visible operations first call Sync,
-// which hands control back to the engine. The engine always resumes the
-// runnable processor with the smallest clock (ties broken by processor id),
-// so globally visible operations execute in nondecreasing virtual-time order
-// and a simulation is deterministic and reproducible. The run queue (runq.go)
-// packs each runnable processor's (clock, id) into one uint64 key, so that
-// order is a single unsigned compare.
+// Each simulated processor body runs on its own coroutine (iter.Pull), so
+// exactly one body runs at any instant. Every processor carries a local
+// virtual clock; pure computation advances the clock without involving the
+// scheduler, while globally visible operations first call Sync. The kernel
+// always runs the runnable processor with the smallest clock (ties broken by
+// processor id), so globally visible operations execute in nondecreasing
+// virtual-time order and a simulation is deterministic and reproducible. The
+// run queue (runq.go) packs each runnable processor's (clock, id) into one
+// uint64 key, so that order is a single unsigned compare.
+//
+// There is no dispatching loop. A Sync or Block that must hand off takes the
+// next processor off the run queue itself and switches straight to that
+// processor's goroutine, one coroutine switch that bypasses the Go scheduler
+// (coro.go). Run's caller only starts a run and, if it fails, leads the
+// teardown.
 package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"zsim/internal/metrics"
@@ -35,15 +40,18 @@ type Proc struct {
 	eng     *Engine
 	blocked bool
 	done    bool
+	// pulled records which half of a switch p's coroutine takes next:
+	// yield after a next, next after a yield (switchOn).
+	pulled bool
 	// blockReason is a human-readable label for deadlock reports.
 	blockReason string
 
-	// The body's coroutine (coro.go): next resumes it until its next
-	// slow-path trap, yield is the trap's way back to the dispatching loop,
-	// and stop unwinds it at teardown.
-	next  func() (yieldKind, bool)
-	yield func(yieldKind) bool
-	stop  func()
+	// The body's coroutine (coro.go): next and yield each switch on it. at
+	// is the processor whose coroutine p's goroutine is parked on while
+	// another body runs.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	at    *Proc
 }
 
 // ID returns the processor number in [0, NumProcs).
@@ -64,56 +72,58 @@ func (p *Proc) AdvanceTo(t Time) {
 	}
 }
 
-// yieldKind is what a suspended body tells the dispatching loop.
-type yieldKind uint8
-
-const (
-	yieldRunnable yieldKind = iota // back on the run queue
-	yieldBlocked                   // waiting for an Unblock
-)
-
-// trap suspends the body until the dispatching loop resumes it, unwinding
-// it instead when the engine stopped its coroutine (teardown).
-func (p *Proc) trap(k yieldKind) {
-	if !p.yield(k) {
-		panic(abortRun{})
-	}
-}
-
-// Sync yields to the engine and returns when this processor is again the
-// runnable processor with the smallest virtual clock. A processor must call
-// Sync immediately before every globally visible operation; between Sync
-// returning and the next yield no other processor runs, so the operation is
-// atomic at the processor's current clock.
+// Sync returns when this processor is again the runnable processor with the
+// smallest virtual clock. A processor must call Sync immediately before every
+// globally visible operation; between Sync returning and the next handoff no
+// other processor runs, so the operation is atomic at the processor's current
+// clock.
 //
 // Fast path: exactly one body runs at a time, so if the caller sorts before
 // the run queue's root — it would be popped right back off the run queue —
-// the coroutine switches to the engine and back are skipped entirely. An
-// empty queue's root sorts after every processor, so a lone runnable
-// processor always takes the fast path. The schedule is
-// bit-identical to the slow path's: the engine would have resumed this
-// processor next in either case, by the same (clock, id) order.
+// Sync returns without a switch. An empty queue's root sorts after every
+// processor, so a lone runnable processor always takes the fast path. The
+// schedule is bit-identical to the slow path's: the slow path would have
+// dispatched this processor next in either case, by the same (clock, id)
+// order.
+//
+// Slow path: the caller re-enters the run queue and the next processor leaves
+// it in one replace. The caller sorts after the root, so pushing it and then
+// popping the root would give the same result in two passes. The caller then
+// switches straight to that processor's goroutine.
 func (p *Proc) Sync() {
 	e := p.eng
 	if e.aborting {
 		panic(abortRun{})
 	}
-	if e.runq.first(p) {
+	q := &e.runq
+	if q.first(p) {
 		e.fastPathHits++
 		return
 	}
-	p.trap(yieldRunnable)
+	p.handoff(q.replace(q.key(p)))
 }
 
 // Block parks the processor until another processor calls Unblock on it.
 // reason is reported if the simulation deadlocks.
 func (p *Proc) Block(reason string) {
-	if p.eng.aborting {
+	e := p.eng
+	if e.aborting {
 		panic(abortRun{})
 	}
 	p.blocked = true
 	p.blockReason = reason
-	p.trap(yieldBlocked)
+	e.blocks++
+	p.handoff(e.runq.pop())
+}
+
+// handoff dispatches the processor keyed k and returns once p is dispatched
+// again, unwinding p instead if the run failed meanwhile.
+func (p *Proc) handoff(k uint64) {
+	e := p.eng
+	e.dispatch(p, &p.at, k)
+	if e.aborting {
+		panic(abortRun{})
+	}
 }
 
 // Unblock makes p runnable again, with its clock advanced to at least t
@@ -143,19 +153,29 @@ func (p *Proc) Unblock(t Time) {
 // Blocked reports whether the processor is currently parked.
 func (p *Proc) Blocked() bool { return p.blocked }
 
-// abortRun is the sentinel panic that unwinds a processor body when Run
-// tears down (deadlock or another body's panic); the coroutine wrapper
-// recovers it.
+// abortRun is the sentinel panic that unwinds a processor body when a run
+// fails (a deadlock, or another body's panic or Goexit); the coroutine
+// wrapper (Proc.run) recovers it.
 type abortRun struct{}
 
 // Engine schedules a fixed set of simulated processors.
 type Engine struct {
 	procs []*Proc
 	runq  runQueue
-	// aborting is set while teardown stops the unfinished coroutines: Sync
-	// and Block panic(abortRun{}) instead of trapping, and Unblock
-	// tolerates the stale state deferred releases see.
+	// lead is the processor whose coroutine Run's caller is parked on while
+	// the bodies run.
+	lead      *Proc
+	remaining int  // processors whose bodies have not returned
+	finish    Time // the largest clock a body has returned at
+
+	// A failed run. aborting is set while the teardown unwinds the
+	// unfinished bodies: Sync and Block panic(abortRun{}) instead of
+	// handing off, and Unblock tolerates the stale state deferred releases
+	// see. failure is what Run re-raises; exiting is the body that called
+	// runtime.Goexit, if that is how the run failed.
 	aborting bool
+	failure  any
+	exiting  *Proc
 
 	// Instrumentation. The hot-path counts are plain fields (the engine is
 	// single-threaded) harvested into a metrics registry by PublishMetrics;
@@ -163,7 +183,7 @@ type Engine struct {
 	// recorded live, because they cannot be reconstructed afterwards.
 	switches     uint64 // processor resumptions (scheduling events)
 	blocks       uint64 // Block calls observed
-	fastPathHits uint64 // Sync calls that skipped the switch to the engine
+	fastPathHits uint64 // Sync calls that returned without a switch
 
 	mRunqDepth *metrics.Histogram // runnable procs remaining after each pop
 	mDrains    *metrics.Counter   // bodies unwound by teardown
@@ -219,90 +239,81 @@ func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 // Run executes body on every processor (as coroutines that run one at a
 // time) and returns the maximum finishing clock, i.e. the parallel
 // execution time. Run panics with a state dump if the simulation deadlocks
-// (all unfinished processors blocked). A panic in a body reaches the caller
-// of Run with its original value. Either way every other body is unwound
-// first, so its defers run, and the engine stays reusable.
-//
-// A body that yields runnable re-enters the run queue and the next
-// processor leaves it in one replace: the body's Sync took the slow path,
-// so its key sorts after the root, and pushing it then popping the root
-// would give the same result in two passes. Run also panics, naming the
-// processor, if a clock grows past what a run-queue key can hold.
+// (all unfinished processors blocked), and panics, naming the processor, if
+// a clock grows past what a run-queue key can hold. A panic in a body
+// reaches the caller of Run with its original value, and a body's
+// runtime.Goexit (a t.FailNow, say) ends the caller of Run by
+// runtime.Goexit. Either way every other body is unwound first, so its
+// defers run, no goroutine is left behind, and the engine stays reusable.
 func (e *Engine) Run(body func(p *Proc)) Time {
-	q := &e.runq
-	q.reset()
 	e.start(body)
-	defer e.contain()
-	for _, p := range e.procs {
-		q.push(q.key(p))
+	if e.dispatch(nil, &e.lead, e.runq.pop()); e.aborting {
+		e.teardown()
 	}
-	remaining := len(e.procs)
-	var finish Time
-	for k := q.pop(); ; {
-		if k == empty {
-			panic("sim: deadlock\n" + e.stateDump())
-		}
-		p := e.procs[q.id(k)]
-		e.switches++
-		e.mRunqDepth.Observe(uint64(q.n))
-		switch kind, live := p.next(); {
-		case !live:
-			if p.clock > finish {
-				finish = p.clock
-			}
-			if remaining--; remaining == 0 {
-				return finish
-			}
-			k = q.pop()
-		case kind == yieldBlocked:
-			e.blocks++
-			// Parked; an Unblock will re-queue it.
-			k = q.pop()
-		default:
-			k = q.replace(q.key(p))
-		}
-	}
+	return e.finish
 }
 
-// start resets every processor and makes body its coroutine.
+// start resets the engine and every processor, makes body each processor's
+// coroutine, and queues them all.
 func (e *Engine) start(body func(p *Proc)) {
-	e.aborting = false
+	q := &e.runq
+	q.reset()
+	e.remaining, e.finish = len(e.procs), 0
+	e.aborting, e.failure, e.exiting = false, nil, nil
 	for _, p := range e.procs {
 		p.clock = 0
 		p.blocked = false
 		p.start(body)
+		q.push(q.key(p))
 	}
 }
 
-// contain is deferred by Run. When the run panics — a deadlock, or a body
-// panic surfacing from its coroutine's next — it stops every unfinished
-// coroutine before the panic continues to Run's caller, so no body is left
-// suspended and repeated recovered Runs do not accumulate goroutines.
-// Stopping a suspended body makes its pending trap panic abortRun, which
-// runs the body's defers; aborting keeps any Sync, Block or Unblock those
-// defers reach from trapping or re-panicking.
-func (e *Engine) contain() {
-	r := recover()
-	if r == nil {
-		return
+// dispatch runs the processor keyed k. The running goroutine — self's, or
+// Run's caller's if self is nil — parks where that processor's goroutine is
+// parked, recording that in *at, and resumes it. dispatch returns once the
+// running goroutine may go on: self was dispatched, every body has
+// returned, or the run failed (aborting). A body's return wakes whichever
+// goroutine is parked on its coroutine, and that goroutine dispatches the
+// next processor, which may be its own.
+func (e *Engine) dispatch(self *Proc, at **Proc, k uint64) {
+	q := &e.runq
+	for {
+		if k == empty {
+			if e.remaining > 0 {
+				e.failure, e.aborting = "sim: deadlock\n"+e.stateDump(), true
+			}
+			return
+		}
+		t := e.procs[q.id(k)]
+		e.switches++
+		e.mRunqDepth.Observe(uint64(q.n))
+		if t == self || switchOn(at, t.at) || e.aborting {
+			return
+		}
+		k = q.pop()
 	}
-	e.aborting = true
+}
+
+// teardown unwinds every unfinished body of a failed run, then re-raises the
+// failure in Run's caller. Run's caller dispatches each unfinished processor
+// in turn; its body unwinds from its pending Sync or Block, which panic
+// abortRun while aborting is set, so its defers run. A body's return may
+// wake another unfinished body instead of Run's caller, and that body
+// unwinds too.
+func (e *Engine) teardown() {
 	for _, p := range e.procs {
 		if !p.done {
-			p.unwind()
-			p.done = true
-			e.mDrains.Inc()
+			switchOn(&e.lead, p.at)
 		}
 	}
-	e.aborting = false
-	panic(r)
-}
-
-// unwind stops p's coroutine. A second panic raised by the body's defers
-// while it unwinds is dropped: the run is already failing with the first.
-func (p *Proc) unwind() {
-	defer func() { _ = recover() }()
-	p.stop()
+	if x := e.exiting; x != nil {
+		// x's goroutine, the last body left, finishes its Goexit, and its
+		// coroutine's exit wakes this goroutine: next re-raises the Goexit,
+		// or yield returns false and it is raised here.
+		switchOn(&e.lead, x.at)
+		runtime.Goexit()
+	}
+	panic(e.failure)
 }
 
 // Switches returns the number of scheduling events (processor

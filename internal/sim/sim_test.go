@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -265,14 +266,8 @@ func TestDispatchOracle(t *testing.T) {
 		}
 		var violation string // the first one; the bodies run off the test goroutine
 		check := func(p *Proc, after string) {
-			for _, o := range e.procs {
-				if violation != "" || o == p || o.done || o.blocked {
-					continue
-				}
-				if o.clock < p.clock || o.clock == p.clock && o.id < p.id {
-					violation = fmt.Sprintf("%d procs: P%d runs at %d after %s, but P%d is runnable at %d",
-						procs, p.id, p.clock, after, o.id, o.clock)
-				}
+			if v := dispatchViolation(e, p, after); violation == "" && v != "" {
+				violation = fmt.Sprintf("%d procs: %s", procs, v)
 			}
 		}
 		e.Run(func(p *Proc) {
@@ -305,6 +300,179 @@ func TestDispatchOracle(t *testing.T) {
 		if violation != "" {
 			t.Fatal(violation)
 		}
+	}
+}
+
+// dispatchViolation scans every processor for a runnable, unfinished one
+// that precedes the running processor p under (clock, id), and describes
+// the first it finds; after names the call p just returned from.
+func dispatchViolation(e *Engine, p *Proc, after string) string {
+	for _, o := range e.procs {
+		if o != p && !o.done && !o.blocked && (o.clock < p.clock || o.clock == p.clock && o.id < p.id) {
+			return fmt.Sprintf("P%d runs at %d after %s, but P%d is runnable at %d", p.id, p.clock, after, o.id, o.clock)
+		}
+	}
+	return ""
+}
+
+// kernelFailure is what a FuzzKernel body panics with.
+type kernelFailure struct{ step int }
+
+// FuzzKernel runs programs from the fuzz input on 1–64 processors
+// (procs%64 + 1). The processors take steps from ops in turn, one byte per
+// step: the byte's low three bits pick Sync (0–3), Block (4), unblocking the
+// longest waiter (5), returning (6) or computing only (7), and its high five
+// bits are the cycles to advance by first. A body returns once ops run out,
+// and a returning body unblocks every waiter, so a run deadlocks only when
+// its last runnable processor blocks. fail%3 picks whether the body taking
+// step fail/3 fails instead: not at all (0), by a panic (1) or by
+// runtime.Goexit (2). Which coroutine each goroutine is parked on when a run
+// fails depends on the whole schedule, so this reaches teardown states no
+// hand-written test pins.
+//
+// Every Sync and Block return is checked against a scan of every
+// processor, as in TestDispatchOracle. Every run must then end as its
+// program says: with the finishing clock, the body's own panic value,
+// runtime.Goexit in Run's caller, or the deadlock dump. Every started
+// body's defers ran, sim.deadlock_drains counts the unfinished bodies the
+// teardown unwound, no goroutine is left behind, and the engine runs again.
+func FuzzKernel(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	mixed := make([]byte, 600)
+	rng.Read(mixed)
+	f.Add(uint8(0), uint16(0), []byte{})
+	f.Add(uint8(3), uint16(0), []byte{8, 4, 1, 5, 16, 6, 0, 0, 4, 0, 13, 7, 2})
+	f.Add(uint8(3), uint16(3*5+1), []byte{8, 4, 1, 12, 16, 0, 0, 9, 4, 0, 13, 7, 2})
+	f.Add(uint8(3), uint16(3*5+2), []byte{8, 4, 1, 12, 16, 0, 0, 9, 4, 0, 13, 7, 2})
+	f.Add(uint8(1), uint16(3*0+1), []byte{0, 0})
+	f.Add(uint8(2), uint16(3*0+2), []byte{0, 0})
+	f.Add(uint8(2), uint16(0), []byte{6, 4, 4})
+	f.Add(uint8(63), uint16(0), bytes.Repeat([]byte{4}, 64))
+	f.Add(uint8(63), uint16(0), mixed)
+	f.Add(uint8(63), uint16(3*150+1), mixed)
+	f.Add(uint8(63), uint16(3*150+2), mixed)
+	f.Add(uint8(40), uint16(3*90+2), mixed[300:])
+	f.Fuzz(func(t *testing.T, procs uint8, fail uint16, ops []byte) {
+		checkKernel(t, 1+int(procs%64), int(fail%3), int(fail/3), ops)
+	})
+}
+
+// checkKernel runs one FuzzKernel program; failKind is 0 (none), 1 (panic)
+// or 2 (runtime.Goexit).
+func checkKernel(t *testing.T, procs, failKind, failStep int, ops []byte) {
+	defer metrics.Enable(metrics.Enable(true))
+	reg := metrics.NewRegistry()
+	e := NewEngine(procs)
+	e.InstrumentMetrics(reg)
+	var (
+		step, runnable = 0, procs
+		waiters        []*Proc
+		started        = make([]bool, procs)
+		deferred       = make([]bool, procs) // the body's defers ran
+		returned       int                   // bodies that returned
+		want           Time                  // the largest clock a body returned at
+		failed         bool                  // a body took the failing step
+		deadlocked     bool                  // the last runnable processor blocked
+		violation      string
+	)
+	check := func(p *Proc, after string) {
+		if v := dispatchViolation(e, p, after); violation == "" {
+			violation = v
+		}
+	}
+	body := func(p *Proc) {
+		started[p.id] = true
+		defer func() {
+			deferred[p.id] = true
+			for _, w := range waiters {
+				w.Unblock(p.Clock())
+			}
+			runnable += len(waiters)
+			waiters = waiters[:0]
+		}()
+	program:
+		for step < len(ops) {
+			i := step
+			step++
+			if i == failStep && failKind != 0 {
+				failed = true
+				if failKind == 1 {
+					panic(kernelFailure{i})
+				}
+				runtime.Goexit()
+			}
+			b := ops[i]
+			p.Advance(Time(b >> 3))
+			switch b & 7 {
+			case 4:
+				waiters = append(waiters, p)
+				if runnable--; runnable == 0 {
+					deadlocked = true
+				}
+				p.Block("fuzz")
+				check(p, "Block")
+			case 5:
+				if len(waiters) > 0 {
+					w := waiters[0]
+					waiters = waiters[1:]
+					runnable++
+					w.Unblock(p.Clock() + Time(b>>3))
+				}
+			case 6:
+				break program
+			case 7:
+			default:
+				p.Sync()
+				check(p, "Sync")
+			}
+		}
+		returned++
+		runnable--
+		want = max(want, p.Clock())
+	}
+
+	before := runtime.NumGoroutine()
+	finish, goexited, r := runOnGoroutine(e, body)
+	if violation != "" {
+		t.Fatal(violation)
+	}
+	drains := procs - returned
+	switch {
+	case failed && failKind == 2:
+		if !goexited {
+			t.Fatalf("Run's caller ended with %v, want runtime.Goexit", r)
+		}
+		drains--
+	case failed:
+		if r != (kernelFailure{failStep}) {
+			t.Fatalf("Run panicked with %v (Goexit: %v), want the body's kernelFailure{%d}", r, goexited, failStep)
+		}
+		drains--
+	case deadlocked:
+		if msg, _ := r.(string); !strings.HasPrefix(msg, "sim: deadlock\n") {
+			t.Fatalf("Run panicked with %v (Goexit: %v), want the deadlock dump", r, goexited)
+		}
+	default:
+		if goexited || r != nil {
+			t.Fatalf("Run panicked with %v (Goexit: %v), want it to return", r, goexited)
+		}
+		if finish != want || returned != procs {
+			t.Fatalf("Run returned %d after %d of %d bodies returned, want %d", finish, returned, procs, want)
+		}
+	}
+	for id := range started {
+		if started[id] && !deferred[id] {
+			t.Errorf("P%d's defers did not run", id)
+		}
+	}
+	if got := reg.Snapshot().Counter("sim.deadlock_drains"); got != uint64(drains) {
+		t.Errorf("sim.deadlock_drains = %d, want the %d unfinished bodies the teardown unwound", got, drains)
+	}
+	if after := settleGoroutines(before); after > before {
+		t.Errorf("goroutines grew from %d to %d across the run", before, after)
+	}
+	if finish := e.Run(func(p *Proc) { p.Advance(Time(p.id)); p.Sync() }); finish != Time(procs-1) {
+		t.Errorf("the engine's next run finished at %d, want %d", finish, procs-1)
 	}
 }
 
@@ -442,16 +610,7 @@ func TestDeadlockDrainsGoroutines(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		deadlock()
 	}
-	// Drained goroutines may take a beat to exit after signalling.
-	var after int
-	for i := 0; i < 100; i++ {
-		runtime.Gosched()
-		if after = runtime.NumGoroutine(); after <= before {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if after > before+4 {
+	if after := settleGoroutines(before); after > before+4 {
 		t.Fatalf("goroutines grew from %d to %d across 50 deadlocked Runs", before, after)
 	}
 }
@@ -498,11 +657,11 @@ func TestEngineReusableAfterDeadlock(t *testing.T) {
 	}
 }
 
-// panickyBody is a four-processor body whose P1 panics with "boom" while
-// P0 is parked and P2/P3 are suspended in a slow-path Sync. Every body
-// records that its defers ran; P3's defer releases P1, which is no longer
-// blocked — during teardown that must not re-panic.
-func panickyBody(e *Engine, unwound *[4]bool) func(p *Proc) {
+// panickyBody is a four-processor body whose P1 calls fail while P0 is
+// parked and P2/P3 are suspended in a slow-path Sync. Every body records
+// that its defers ran; P3's defer releases P1, which is no longer blocked —
+// during teardown that must not re-panic.
+func panickyBody(e *Engine, unwound *[4]bool, fail func()) func(p *Proc) {
 	return func(p *Proc) {
 		defer func() {
 			unwound[p.ID()] = true
@@ -516,7 +675,7 @@ func panickyBody(e *Engine, unwound *[4]bool) func(p *Proc) {
 		case 1:
 			p.Advance(10)
 			p.Sync()
-			panic("boom")
+			fail()
 		default:
 			p.Advance(Time(100 * p.ID()))
 			p.Sync()
@@ -526,11 +685,51 @@ func panickyBody(e *Engine, unwound *[4]bool) func(p *Proc) {
 	}
 }
 
+func boom() { panic("boom") }
+
 // runRecovered runs body on e and returns what Run panicked with.
 func runRecovered(e *Engine, body func(p *Proc)) (r any) {
 	defer func() { r = recover() }()
 	e.Run(body)
 	return nil
+}
+
+// runOnGoroutine runs body on e from a fresh goroutine and reports how
+// Run's caller ended: with Run's result, by runtime.Goexit, or with what Run
+// panicked with.
+func runOnGoroutine(e *Engine, body func(p *Proc)) (finish Time, goexited bool, r any) {
+	type end struct {
+		finish   Time
+		goexited bool
+		r        any
+	}
+	ended := make(chan end)
+	go func() {
+		var x end
+		returned := false
+		defer func() {
+			x.r = recover()
+			x.goexited = !returned && x.r == nil
+			ended <- x
+		}()
+		x.finish = e.Run(body)
+		returned = true
+	}()
+	x := <-ended
+	return x.finish, x.goexited, x.r
+}
+
+// settleGoroutines waits for runtime.NumGoroutine to fall back to at most
+// want, and returns the last count: a goroutine that signalled its end may
+// take a moment to exit.
+func settleGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > want; i++ {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }
 
 // TestBodyPanicContained pins the body-panic contract: the original panic
@@ -540,7 +739,7 @@ func runRecovered(e *Engine, body func(p *Proc)) (r any) {
 func TestBodyPanicContained(t *testing.T) {
 	e := NewEngine(4)
 	var unwound [4]bool
-	if r := runRecovered(e, panickyBody(e, &unwound)); r != "boom" {
+	if r := runRecovered(e, panickyBody(e, &unwound, boom)); r != "boom" {
 		t.Fatalf("Run panicked with %v, want the body's own \"boom\"", r)
 	}
 	for i, u := range unwound {
@@ -550,13 +749,40 @@ func TestBodyPanicContained(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		runRecovered(e, panickyBody(e, &unwound))
+		runRecovered(e, panickyBody(e, &unwound, boom))
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines grew from %d to %d across 50 panicking Runs", before, after)
 	}
 	if finish := e.Run(func(p *Proc) { p.Advance(7); p.Sync() }); finish != 7 {
 		t.Errorf("post-panic run finish = %d, want 7", finish)
+	}
+}
+
+// TestBodyGoexitContained: a body's runtime.Goexit (a t.FailNow inside a
+// body, say) fails the run as a panic does. Every other body unwinds through
+// its defers, Run's caller then exits by runtime.Goexit, no goroutine is
+// left behind, and the engine runs again.
+func TestBodyGoexitContained(t *testing.T) {
+	e := NewEngine(4)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		var unwound [4]bool
+		_, goexited, r := runOnGoroutine(e, panickyBody(e, &unwound, runtime.Goexit))
+		if !goexited {
+			t.Fatalf("run %d: Run's caller ended with %v, want runtime.Goexit", i, r)
+		}
+		for id, u := range unwound {
+			if !u {
+				t.Fatalf("run %d: P%d's defers did not run", i, id)
+			}
+		}
+	}
+	if after := settleGoroutines(before); after > before {
+		t.Errorf("goroutines grew from %d to %d across 20 runs ended by Goexit", before, after)
+	}
+	if finish := e.Run(func(p *Proc) { p.Advance(7); p.Sync() }); finish != 7 {
+		t.Errorf("post-Goexit run finish = %d, want 7", finish)
 	}
 }
 
