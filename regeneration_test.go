@@ -13,12 +13,13 @@ var update = flag.Bool("update", false, "rewrite testdata/regeneration.golden fr
 
 // TestRegenerationGolden is the simulator's identity gate. With metrics on,
 // it runs what a bare `paperbench` runs (every experiment of the
-// regeneration index, then the claim verdicts) and pins the deterministic
-// part of the global metric snapshot: every counter, gauge and histogram
-// except the host-side runner.* family. It then appends the scalability
-// family S1..S4 at 64 and 256 processors, which the regeneration does not
-// run. A change to simulated timing, traffic or scheduling shows up as a
-// diff. After an intentional change, regenerate with
+// regeneration index, then the claim verdicts) and pins each rendered
+// artifact, the claim table, and the deterministic part of the global
+// metric snapshot: every counter, gauge and histogram except the host-side
+// runner.* family. It then appends the scalability family S1..S4 at 64 and
+// 256 processors, which the regeneration does not run. A change to
+// simulated timing, traffic or scheduling, or to how a table is built,
+// shows up as a diff. After an intentional change, regenerate with
 // `go test . -run TestRegenerationGolden -update` and review the diff.
 //
 // The test never calls t.Parallel: the metrics registry is process-global.
@@ -30,13 +31,17 @@ func TestRegenerationGolden(t *testing.T) {
 	var b strings.Builder
 	withMetrics(true, func() {
 		for _, e := range Experiments() {
-			if _, err := e.Run(ScaleSmall, params); err != nil {
+			art, err := e.Run(ScaleSmall, params)
+			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
+			fmt.Fprintf(&b, "--- %s: %s ---\n%s\n", e.ID, e.Title, art.Render())
 		}
-		if _, _, err := EvaluateClaims(ScaleSmall, params); err != nil {
+		claims, _, err := EvaluateClaims(ScaleSmall, params)
+		if err != nil {
 			t.Fatal(err)
 		}
+		fmt.Fprintf(&b, "--- claims ---\n%s\n", claims.Render())
 		b.WriteString("--- metrics ---\n")
 		b.WriteString(simOnly(GlobalMetrics()).String())
 	})
