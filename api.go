@@ -177,6 +177,11 @@ func NewU64(m *Machine, n int) U64 { return shm.NewU64(m.Heap, n) }
 // rejects any other value.
 func ParseScale(s string) (Scale, error) { return workload.ParseScale(s) }
 
+// ParseProcs reads a comma-separated list of machine sizes ("64,256") for
+// the scalability family; an empty string selects DefaultScalingProcs
+// (nil), and an empty or non-positive entry is an error.
+func ParseProcs(s string) ([]int, error) { return workload.ParseProcs(s) }
+
 // NewBenchmark constructs one of the paper's applications ("cholesky",
 // "is", "maxflow", "nbody") at the given scale.
 func NewBenchmark(name string, scale Scale) (App, error) { return workload.NewApp(name, scale) }
@@ -234,11 +239,14 @@ func ParamsFromJSON(data []byte) (Params, error) { return memsys.ParamsFromJSON(
 // open issue as a runnable extension.
 func DefaultMTParams(streams, threads int) Params { return memsys.DefaultMT(streams, threads) }
 
-// MultithreadSweep is the multithreading ablation (extension E13).
+// MultithreadSweep is the multithreading ablation (extension E13): a fixed
+// number of nodes running more hardware threads each, every point derived
+// from the given parameter block.
 var MultithreadSweep = workload.MultithreadSweep
 
 // ScalabilitySweep runs an application across machine sizes on one memory
-// system (speedup view, after the authors' scalability-study framework).
+// system (speedup view, after the authors' scalability-study framework),
+// every size derived from the given parameter block.
 var ScalabilitySweep = workload.ScalabilitySweep
 
 // TopologySweep runs an application across interconnect topologies

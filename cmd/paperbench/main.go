@@ -25,8 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"zsim"
 	"zsim/internal/prof"
@@ -71,9 +69,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	scalingProcs, err := parseProcsList(*scaling)
+	scalingProcs, err := zsim.ParseProcs(*scaling)
 	if err != nil {
-		return fatal(err)
+		return fatal(fmt.Errorf("-scaling-procs: %w", err))
 	}
 	sc, err := zsim.ParseScale(*scale)
 	if err != nil {
@@ -221,21 +219,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// parseProcsList parses a comma-separated machine-size list ("64,256"); an
-// empty string selects the workload package's defaults (nil).
-func parseProcsList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -scaling-procs entry %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

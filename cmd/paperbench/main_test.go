@@ -38,3 +38,39 @@ func TestBadTable(t *testing.T) {
 		t.Errorf("stderr = %q, want %q", stderr.String(), want)
 	}
 }
+
+// TestScalingProcsFlag: -scaling-procs is read up front, by the parser
+// zsim uses too. A list of positive sizes reaches the S family; an empty or
+// non-positive entry fails with exit status 1, a line naming the flag on
+// stderr and nothing on stdout, whatever mode was asked for.
+func TestScalingProcsFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // on stdout when the command succeeds
+		bad  string // the rejected entry, or "" when the command succeeds
+	}{
+		{args: []string{"-list", "-scaling-procs", "16, 32"}, want: "S1   scaling: cholesky overhead classes vs P on RCinv [16 32]\n"},
+		{args: []string{"-list", "-scaling-procs", ""}, want: "S4   scaling: nbody overhead classes vs P on RCinv [64 256 1024]\n"},
+		{args: []string{"-exp", "S1", "-scaling-procs", "16,,64,"}, bad: `""`},
+		{args: []string{"-list", "-scaling-procs", "16,0"}, bad: `"0"`},
+		{args: []string{"-list", "-scaling-procs", "-4"}, bad: `"-4"`},
+		{args: []string{"-table", "1", "-scaling-procs", "abc"}, bad: `"abc"`},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run(tc.args, &stdout, &stderr)
+			if tc.bad == "" {
+				if code != 0 || !strings.Contains(stdout.String(), tc.want) {
+					t.Fatalf("exit status %d, stdout:\n%s\nwant it to hold %q (stderr: %s)", code, stdout.String(), tc.want, stderr.String())
+				}
+				return
+			}
+			if code != 1 || stdout.Len() != 0 {
+				t.Fatalf("exit status %d, stdout:\n%s\nwant status 1 and no output", code, stdout.String())
+			}
+			if msg := stderr.String(); !strings.HasPrefix(msg, "paperbench: -scaling-procs: ") || !strings.Contains(msg, "bad machine size "+tc.bad) {
+				t.Fatalf("stderr %q, want a paperbench: -scaling-procs: line naming the entry %s", msg, tc.bad)
+			}
+		})
+	}
+}

@@ -17,8 +17,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"zsim"
 	"zsim/internal/prof"
@@ -105,6 +103,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(err)
 	}
+	scalingProcs, err := zsim.ParseProcs(*scaling)
+	if err != nil {
+		return fatal(fmt.Errorf("-scaling-procs: %w", err))
+	}
 
 	printMetrics := func() {
 		if *withMet {
@@ -114,19 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *expID != "" {
-		var sprocs []int
-		for _, f := range strings.Split(*scaling, ",") {
-			f = strings.TrimSpace(f)
-			if f == "" {
-				continue
-			}
-			n, err := strconv.Atoi(f)
-			if err != nil || n < 1 {
-				return fatal(fmt.Errorf("bad -scaling-procs entry %q", f))
-			}
-			sprocs = append(sprocs, n)
-		}
-		e, err := zsim.FindExperimentScaled(*expID, sprocs)
+		e, err := zsim.FindExperimentScaled(*expID, scalingProcs)
 		if err != nil {
 			return fatal(err)
 		}

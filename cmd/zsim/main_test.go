@@ -93,3 +93,38 @@ func TestBadMachineFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestScalingProcsFlag: -scaling-procs is read up front, by the parser
+// paperbench uses too, whether or not -exp asks for the S family. A list of
+// positive sizes reaches it; an empty or non-positive entry fails with exit
+// status 1, a line naming the flag on stderr and nothing on stdout.
+func TestScalingProcsFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // on stdout when the command succeeds
+		bad  string // the rejected entry, or "" when the command succeeds
+	}{
+		{args: []string{"-exp", "S1", "-scaling-procs", "16"}, want: "Overhead scaling: cholesky on rcinv\n"},
+		{args: []string{"-exp", "S1", "-scaling-procs", "16,,64,"}, bad: `""`},
+		{args: []string{"-exp", "S2", "-scaling-procs", "0"}, bad: `"0"`},
+		{args: []string{"-scaling-procs", "abc"}, bad: `"abc"`},
+		{args: []string{"-litmus", "-scaling-procs", "16,-4"}, bad: `"-4"`},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run(tc.args, &stdout, &stderr)
+			if tc.bad == "" {
+				if code != 0 || !strings.Contains(stdout.String(), tc.want) {
+					t.Fatalf("exit status %d, stdout:\n%s\nwant it to hold %q (stderr: %s)", code, stdout.String(), tc.want, stderr.String())
+				}
+				return
+			}
+			if code != 1 || stdout.Len() != 0 {
+				t.Fatalf("exit status %d, stdout:\n%s\nwant status 1 and no output", code, stdout.String())
+			}
+			if msg := stderr.String(); !strings.HasPrefix(msg, "zsim: -scaling-procs: ") || !strings.Contains(msg, "bad machine size "+tc.bad) {
+				t.Fatalf("stderr %q, want a zsim: -scaling-procs: line naming the entry %s", msg, tc.bad)
+			}
+		})
+	}
+}

@@ -41,6 +41,7 @@ func main() {
 	emit(zsim.SCvsRC(zsim.ScaleSmall, params))
 
 	// §7 open issue: multithreading as latency tolerance — fixed nodes,
-	// more hardware threads per node attacking the same total work.
-	emit(zsim.MultithreadSweep("maxflow", zsim.ScaleSmall, zsim.RCInv, 4, []int{1, 2, 4}))
+	// more hardware threads per node attacking the same total work. Each
+	// point reshapes params to 4 nodes; every other parameter carries over.
+	emit(zsim.MultithreadSweep("maxflow", zsim.ScaleSmall, zsim.RCInv, params, 4, []int{1, 2, 4}))
 }

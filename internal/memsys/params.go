@@ -130,25 +130,25 @@ func meshShape(p int) (w, h int) {
 
 // DefaultMT returns the paper's configuration with `streams` execution
 // streams multiplexed `threads` per node (the multithreading extension).
-func DefaultMT(streams, threads int) Params {
+func DefaultMT(streams, threads int) Params { return Default(streams).WithThreads(streams, threads) }
+
+// WithThreads returns a copy of the params resized to `streams` execution
+// streams multiplexed `threads` per node, with the mesh reshaped to the node
+// count, keeping every other parameter (topology, latencies, buffer sizes,
+// fault injection) as configured. It panics when threads does not divide
+// streams.
+func (pa Params) WithThreads(streams, threads int) Params {
 	if threads <= 0 || streams%threads != 0 {
 		panic(fmt.Sprintf("memsys: %d streams not divisible into %d hardware threads per node", streams, threads))
 	}
-	p := Default(streams)
-	p.HWThreads = threads
-	p.MeshW, p.MeshH = meshShape(streams / threads)
-	return p
+	pa.Procs, pa.HWThreads = streams, threads
+	pa.MeshW, pa.MeshH = meshShape(streams / threads)
+	return pa
 }
 
 // WithProcs returns a copy of the params resized to p execution streams with
-// one hardware thread per node and a reshaped mesh, keeping every other
-// parameter (latencies, buffer sizes, fault injection) as configured.
-func (pa Params) WithProcs(p int) Params {
-	pa.Procs = p
-	pa.HWThreads = 1
-	pa.MeshW, pa.MeshH = meshShape(p)
-	return pa
-}
+// one hardware thread per node and a reshaped mesh (WithThreads).
+func (pa Params) WithProcs(p int) Params { return pa.WithThreads(p, 1) }
 
 // Nodes returns the number of NUMA nodes (processor cores).
 func (pa Params) Nodes() int { return pa.Procs / pa.HWThreads }

@@ -14,35 +14,28 @@ import (
 // runtime conformance checker attached (Machine.EnableCheck) and tabulates
 // the verdicts: events validated per run, and any invariant violations. The
 // returned flag is true when every execution was clean. Output verification
-// failures (a wrong answer) are returned as errors, not verdict cells.
+// failures (a wrong answer) are returned as errors, not verdict cells. Each
+// cell attaches a checker to its machine, so the sweep runs its own grid.
 func ConformanceSweep(scale Scale, p memsys.Params) (*stats.Table, bool, error) {
-	kinds := memsys.Kinds()
-	head := []string{"app \\ system"}
-	for _, k := range kinds {
-		head = append(head, string(k))
-	}
-	t := &stats.Table{
-		Title: fmt.Sprintf("Conformance-checker verdicts (%s scale, %d processors)", scale, p.Procs),
-		Head:  head,
-	}
 	type verdict struct {
 		cell string
 		ok   bool
 	}
-	names := AppNames()
-	verdicts, err := runner.Grid(len(names)*len(kinds), func(i int) (verdict, error) {
-		name, kind := names[i/len(kinds)], kinds[i%len(kinds)]
-		app, err := NewApp(name, scale)
+	kinds := memsys.Kinds()
+	cells := appCells(p, kinds...)
+	verdicts, err := runner.Grid(len(cells), func(i int) (verdict, error) {
+		c := cells[i]
+		app, err := NewApp(c.app, scale)
 		if err != nil {
 			return verdict{}, err
 		}
-		m, err := machine.New(kind, p)
+		m, err := machine.New(c.kind, c.p)
 		if err != nil {
 			return verdict{}, err
 		}
 		chk := m.EnableCheck()
 		if _, err := apps.Run(app, m); err != nil {
-			return verdict{}, fmt.Errorf("workload: %s on %s failed verification: %w", name, kind, err)
+			return verdict{}, fmt.Errorf("workload: %s on %s failed verification: %w", c.app, c.kind, err)
 		}
 		events, _, _, _ := chk.Stats()
 		if chk.Ok() {
@@ -54,35 +47,9 @@ func ConformanceSweep(scale Scale, p memsys.Params) (*stats.Table, bool, error) 
 		return nil, false, err
 	}
 	pass := true
-	for i, name := range names {
-		row := []string{name}
-		for j := range kinds {
-			v := verdicts[i*len(kinds)+j]
-			if !v.ok {
-				pass = false
-			}
-			row = append(row, v.cell)
-		}
-		t.Rows = append(t.Rows, row)
+	for _, v := range verdicts {
+		pass = pass && v.ok
 	}
-	return t, pass, nil
-}
-
-// ConformanceViolations runs one application on one memory system with the
-// checker attached and returns the retained violation descriptions (nil when
-// the run conformed).
-func ConformanceViolations(name string, scale Scale, kind memsys.Kind, p memsys.Params) ([]string, error) {
-	app, err := NewApp(name, scale)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(kind, p)
-	if err != nil {
-		return nil, err
-	}
-	chk := m.EnableCheck()
-	if _, err := apps.Run(app, m); err != nil {
-		return nil, fmt.Errorf("workload: %s on %s failed verification: %w", name, kind, err)
-	}
-	return chk.Violations(), nil
+	return matrix(fmt.Sprintf("Conformance-checker verdicts (%s scale, %d processors)", scale, p.Procs),
+		kinds, func(i int) any { return verdicts[i].cell }), pass, nil
 }

@@ -56,10 +56,10 @@ func Experiments() []Experiment {
 			return SCvsRC(sc, p)
 		}},
 		{"E13", "§7 open issue: multithreading (Maxflow/RCinv, 4 nodes)", func(sc Scale, p memsys.Params) (Artifact, error) {
-			return MultithreadSweep("maxflow", sc, memsys.KindRCInv, 4, []int{1, 2, 4})
+			return MultithreadSweep("maxflow", sc, memsys.KindRCInv, p, 4, []int{1, 2, 4})
 		}},
 		{"E14", "scalability framing: IS/RCinv speedup", func(sc Scale, p memsys.Params) (Artifact, error) {
-			return ScalabilitySweep("is", sc, memsys.KindRCInv, []int{1, 2, 4, 8, 16})
+			return ScalabilitySweep("is", sc, memsys.KindRCInv, p, []int{1, 2, 4, 8, 16})
 		}},
 		{"E15", "§6 proposal: RCinv vs RCsync (decoupled data flow)", func(sc Scale, p memsys.Params) (Artifact, error) {
 			return RCSyncComparison(sc, p)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"zsim/internal/memsys"
-	"zsim/internal/runner"
 	"zsim/internal/stats"
 )
 
@@ -22,26 +21,12 @@ func OverheadScaling(app string, scale Scale, kind memsys.Kind, base memsys.Para
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("workload: OverheadScaling needs at least one machine size")
 	}
-	results, err := runner.Grid(len(procs), func(i int) (*stats.Result, error) {
-		return Run(app, scale, kind, base.WithProcs(procs[i]))
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title: fmt.Sprintf("Overhead scaling: %s on %s", app, kind),
-		Head:  []string{"procs", "exec-cycles", "read-stall", "write-stall", "buffer-flush", "sync-wait", "overhead%"},
-	}
-	for i, r := range results {
-		t.Add(fmt.Sprintf("%d", procs[i]),
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.TotalReadStall()),
-			fmt.Sprintf("%d", r.TotalWriteStall()),
-			fmt.Sprintf("%d", r.TotalBufferFlush()),
-			fmt.Sprintf("%d", r.TotalSyncWait()),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-	}
-	return t, nil
+	return sweep(scale, fmt.Sprintf("Overhead scaling: %s on %s", app, kind),
+		[]string{"procs", "exec-cycles", "read-stall", "write-stall", "buffer-flush", "sync-wait", "overhead%"},
+		vary(app, kind, base, procs, func(p *memsys.Params, n int) { *p = p.WithProcs(n) }),
+		func(_ int, r *stats.Result) []any {
+			return []any{r.ExecTime, r.TotalReadStall(), r.TotalWriteStall(), r.TotalBufferFlush(), r.TotalSyncWait(), r.OverheadPct()}
+		})
 }
 
 // ScalingExperiments returns the scalability family S1..S4: overhead

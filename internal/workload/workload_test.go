@@ -10,6 +10,7 @@ import (
 	"zsim/internal/apps/intsort"
 	"zsim/internal/machine"
 	"zsim/internal/memsys"
+	"zsim/internal/metrics"
 	"zsim/internal/stats"
 )
 
@@ -362,7 +363,7 @@ func TestMultithreadSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	tbl, err := MultithreadSweep("is", ScaleSmall, memsys.KindRCInv, 4, []int{1, 2})
+	tbl, err := MultithreadSweep("is", ScaleSmall, memsys.KindRCInv, memsys.Default(16), 4, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestScalabilitySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scalability sweep in -short mode")
 	}
-	tbl, err := ScalabilitySweep("is", ScaleSmall, memsys.KindRCInv, []int{1, 4, 16})
+	tbl, err := ScalabilitySweep("is", ScaleSmall, memsys.KindRCInv, memsys.Default(16), []int{1, 4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +398,66 @@ func TestScalabilitySweep(t *testing.T) {
 	}
 	if tbl.Rows[0][2] != "1.00" {
 		t.Fatalf("base speedup = %s, want 1.00", tbl.Rows[0][2])
+	}
+}
+
+// TestSweepsHonourParams: E13 and E14 derive every point from the
+// caller's parameter block, so a topology other than the mesh reaches
+// them, and one that cannot hold a point's machine fails it.
+func TestSweepsHonourParams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps in -short mode")
+	}
+	render := func(id, topology string) (string, error) {
+		e, err := FindExperiment(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := memsys.Default(16)
+		p.Topology = topology
+		art, err := e.Run(ScaleSmall, p)
+		if err != nil {
+			return "", err
+		}
+		return art.Render(), nil
+	}
+	for _, c := range []struct{ id, topology string }{{"E14", "torus"}, {"E13", "bus"}} {
+		mesh, err := render(c.id, "mesh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := render(c.id, c.topology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other == mesh {
+			t.Errorf("%s on a %s prints the mesh table:\n%s", c.id, c.topology, other)
+		}
+	}
+	if _, err := render("E14", "hier"); err == nil || !strings.Contains(err.Error(), "hier topology needs") {
+		t.Errorf("E14 on a hier network (one processor) returned %v, want the topology's validation error", err)
+	}
+}
+
+func TestParseProcs(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want []int
+	}{
+		{"", nil},
+		{"  ", nil},
+		{"64", []int{64}},
+		{"16,64, 256", []int{16, 64, 256}},
+	} {
+		got, err := ParseProcs(c.in)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(c.want) || (got == nil) != (c.want == nil) {
+			t.Errorf("ParseProcs(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	for _, in := range []string{"16,,64", "16,64,", ",16", "abc", "0", "-4", "16,0", "1.5"} {
+		if got, err := ParseProcs(in); err == nil || !strings.Contains(err.Error(), "bad machine size") {
+			t.Errorf("ParseProcs(%q) = %v, %v; want a bad-machine-size error", in, got, err)
+		}
 	}
 }
 
@@ -619,9 +680,18 @@ func TestClaimsAllPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("claims in -short mode")
 	}
+	defer metrics.Enable(metrics.Enable(true))
+	metrics.Default.Reset()
+	defer metrics.Default.Reset()
 	tbl, allOK, err := EvaluateClaims(ScaleSmall, memsys.Default(16))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every application on zmc, pram and the five RC systems, plus IS on
+	// scinv, as one grid.
+	snap := metrics.Default.Snapshot()
+	if grids, cells := snap.Counter("runner.grids"), snap.Counter("runner.cells"); grids != 1 || cells != 29 {
+		t.Errorf("claims ran %d cells in %d grids, want 29 in 1", cells, grids)
 	}
 	if !allOK {
 		t.Fatalf("claims failed:\n%s", tbl.Render())
@@ -641,20 +711,13 @@ func TestClaimsAllPass(t *testing.T) {
 	}
 }
 
-func TestMustRunAndFigureNumbers(t *testing.T) {
+func TestFigureNumbers(t *testing.T) {
 	if got := FigureNumbers(); len(got) != 4 || got[0] != 2 || got[3] != 5 {
 		t.Fatalf("FigureNumbers = %v", got)
 	}
-	r := MustRun("is", ScaleSmall, memsys.KindPRAM, memsys.Default(16))
-	if r.ExecTime == 0 {
-		t.Fatal("MustRun returned empty result")
+	if _, err := Run("bogus", ScaleSmall, memsys.KindPRAM, memsys.Default(16)); err == nil {
+		t.Fatal("Run of an unknown application returned no error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRun should panic on bad input")
-		}
-	}()
-	MustRun("bogus", ScaleSmall, memsys.KindPRAM, memsys.Default(16))
 }
 
 // Finite caches exercise the eviction/writeback paths end to end: every

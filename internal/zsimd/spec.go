@@ -26,7 +26,7 @@ import (
 // CodeVersion names the simulator revision baked into every cache key.
 // Bump it whenever a change can alter any simulated result, so stale
 // bodies from an earlier revision can never be served as current.
-const CodeVersion = "zsim-sim-v1"
+const CodeVersion = "zsim-sim-v2"
 
 // Cell types accepted by the daemon.
 const (
