@@ -48,28 +48,44 @@ func (p *Proc) run(body func(p *Proc)) {
 	defer func() {
 		r := recover()
 		p.done = true
+		goexit := r == nil && !returned
 		switch {
 		case e.aborting:
 			// Unwound by the teardown. A panic the body's defers raised
 			// while unwinding is dropped: the run already fails.
 			e.mDrains.Inc()
+		case goexit:
+			e.aborting = true
 		case r != nil:
 			e.failure, e.aborting = r, true
-		case !returned:
-			// runtime.Goexit, which nothing stops. Once this goroutine
-			// ends, next would re-raise it in whichever goroutine is parked
-			// on p's coroutine, so it waits here, handing control back to
-			// Run's caller, until the teardown has unwound every other body.
-			e.exiting, e.aborting = p, true
-			for !switchOn(&p.at, e.lead) {
-			}
 		default:
 			e.finish = max(e.finish, p.clock)
 			e.remaining--
+		}
+		if goexit {
+			e.hold(p)
 		}
 	}()
 	if !e.aborting { // else the teardown reached a body that never started
 		body(p)
 	}
 	returned = true
+}
+
+// hold keeps p's goroutine, which is ending by runtime.Goexit, from ending
+// until the teardown has unwound every other body. Nothing stops a Goexit,
+// and once the goroutine ends, next would re-raise it in whichever
+// goroutine is parked on p's coroutine. So the goroutine parks on its own
+// coroutine, handing control to the goroutine parked there, and waits for
+// the teardown's release (Engine.teardown). Released, it resumes the body
+// that reached hold before it, if any, and parks on that body's coroutine:
+// the goroutines end in the order they reached hold, each woken by the
+// previous one's end, so only the last one's end reaches Run's caller.
+func (e *Engine) hold(p *Proc) {
+	e.exiting = append(e.exiting, p)
+	before := len(e.exiting) - 2
+	switchOn(&p.at, p)
+	if before >= 0 {
+		switchOn(&p.at, e.exiting[before])
+	}
 }

@@ -171,11 +171,11 @@ type Engine struct {
 	// A failed run. aborting is set while the teardown unwinds the
 	// unfinished bodies: Sync and Block panic(abortRun{}) instead of
 	// handing off, and Unblock tolerates the stale state deferred releases
-	// see. failure is what Run re-raises; exiting is the body that called
-	// runtime.Goexit, if that is how the run failed.
+	// see. failure is what Run re-raises, unless a body ended by
+	// runtime.Goexit: exiting lists those bodies in the order they did.
 	aborting bool
 	failure  any
-	exiting  *Proc
+	exiting  []*Proc
 
 	// Instrumentation. The hot-path counts are plain fields (the engine is
 	// single-threaded) harvested into a metrics registry by PublishMetrics;
@@ -259,7 +259,7 @@ func (e *Engine) start(body func(p *Proc)) {
 	q := &e.runq
 	q.reset()
 	e.remaining, e.finish = len(e.procs), 0
-	e.aborting, e.failure, e.exiting = false, nil, nil
+	e.aborting, e.failure, e.exiting = false, nil, e.exiting[:0]
 	for _, p := range e.procs {
 		p.clock = 0
 		p.blocked = false
@@ -299,18 +299,20 @@ func (e *Engine) dispatch(self *Proc, at **Proc, k uint64) {
 // in turn; its body unwinds from its pending Sync or Block, which panic
 // abortRun while aborting is set, so its defers run. A body's return may
 // wake another unfinished body instead of Run's caller, and that body
-// unwinds too.
+// unwinds too; so may a body that ends by runtime.Goexit and parks on its
+// own coroutine in hold.
 func (e *Engine) teardown() {
 	for _, p := range e.procs {
 		if !p.done {
 			switchOn(&e.lead, p.at)
 		}
 	}
-	if x := e.exiting; x != nil {
-		// x's goroutine, the last body left, finishes its Goexit, and its
-		// coroutine's exit wakes this goroutine: next re-raises the Goexit,
-		// or yield returns false and it is raised here.
-		switchOn(&e.lead, x.at)
+	if n := len(e.exiting); n > 0 {
+		// Release the bodies held ending by Goexit: the last one held
+		// resumes the one before it, and so on, and they end first to
+		// last. The last one's exit wakes this goroutine: next re-raises
+		// the Goexit, or yield returns false and it is raised here.
+		switchOn(&e.lead, e.exiting[n-1])
 		runtime.Goexit()
 	}
 	panic(e.failure)

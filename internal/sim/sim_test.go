@@ -326,9 +326,12 @@ type kernelFailure struct{ step int }
 // and a returning body unblocks every waiter, so a run deadlocks only when
 // its last runnable processor blocks. fail%3 picks whether the body taking
 // step fail/3 fails instead: not at all (0), by a panic (1) or by
-// runtime.Goexit (2). Which coroutine each goroutine is parked on when a run
-// fails depends on the whole schedule, so this reaches teardown states no
-// hand-written test pins.
+// runtime.Goexit (2). A nonzero exit picks a processor, (exit-1)%procs,
+// whose deferred call raises runtime.Goexit once its body returns or is
+// unwound, so the run then ends by Goexit whatever else ended it. Which
+// coroutine each goroutine is parked on when a run fails depends on the
+// whole schedule, so this reaches teardown states no hand-written test
+// pins.
 //
 // Every Sync and Block return is checked against a scan of every
 // processor, as in TestDispatchOracle. Every run must then end as its
@@ -340,26 +343,39 @@ func FuzzKernel(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	mixed := make([]byte, 600)
 	rng.Read(mixed)
-	f.Add(uint8(0), uint16(0), []byte{})
-	f.Add(uint8(3), uint16(0), []byte{8, 4, 1, 5, 16, 6, 0, 0, 4, 0, 13, 7, 2})
-	f.Add(uint8(3), uint16(3*5+1), []byte{8, 4, 1, 12, 16, 0, 0, 9, 4, 0, 13, 7, 2})
-	f.Add(uint8(3), uint16(3*5+2), []byte{8, 4, 1, 12, 16, 0, 0, 9, 4, 0, 13, 7, 2})
-	f.Add(uint8(1), uint16(3*0+1), []byte{0, 0})
-	f.Add(uint8(2), uint16(3*0+2), []byte{0, 0})
-	f.Add(uint8(2), uint16(0), []byte{6, 4, 4})
-	f.Add(uint8(63), uint16(0), bytes.Repeat([]byte{4}, 64))
-	f.Add(uint8(63), uint16(0), mixed)
-	f.Add(uint8(63), uint16(3*150+1), mixed)
-	f.Add(uint8(63), uint16(3*150+2), mixed)
-	f.Add(uint8(40), uint16(3*90+2), mixed[300:])
-	f.Fuzz(func(t *testing.T, procs uint8, fail uint16, ops []byte) {
-		checkKernel(t, 1+int(procs%64), int(fail%3), int(fail/3), ops)
+	f.Add(uint8(0), uint16(0), uint8(0), []byte{})
+	f.Add(uint8(3), uint16(0), uint8(0), []byte{8, 4, 1, 5, 16, 6, 0, 0, 4, 0, 13, 7, 2})
+	f.Add(uint8(3), uint16(3*5+1), uint8(0), []byte{8, 4, 1, 12, 16, 0, 0, 9, 4, 0, 13, 7, 2})
+	f.Add(uint8(3), uint16(3*5+2), uint8(0), []byte{8, 4, 1, 12, 16, 0, 0, 9, 4, 0, 13, 7, 2})
+	f.Add(uint8(1), uint16(3*0+1), uint8(0), []byte{0, 0})
+	f.Add(uint8(2), uint16(3*0+2), uint8(0), []byte{0, 0})
+	f.Add(uint8(2), uint16(0), uint8(0), []byte{6, 4, 4})
+	f.Add(uint8(63), uint16(0), uint8(0), bytes.Repeat([]byte{4}, 64))
+	f.Add(uint8(63), uint16(0), uint8(0), mixed)
+	f.Add(uint8(63), uint16(3*150+1), uint8(0), mixed)
+	f.Add(uint8(63), uint16(3*150+2), uint8(0), mixed)
+	f.Add(uint8(40), uint16(3*90+2), uint8(0), mixed[300:])
+	f.Add(uint8(3), uint16(3*5+1), uint8(1), []byte{8, 4, 1, 12, 16, 0, 0, 9, 4, 0, 13, 7, 2})
+	f.Add(uint8(3), uint16(3*5+2), uint8(3), []byte{8, 4, 1, 12, 16, 0, 0, 9, 4, 0, 13, 7, 2})
+	f.Add(uint8(1), uint16(0), uint8(2), []byte{0, 0})
+	f.Add(uint8(1), uint16(0), uint8(1), []byte{48, 36, 36})
+	f.Add(uint8(63), uint16(0), uint8(10), bytes.Repeat([]byte{4}, 64))
+	f.Add(uint8(63), uint16(0), uint8(33), mixed)
+	f.Add(uint8(63), uint16(3*150+1), uint8(7), mixed)
+	f.Add(uint8(63), uint16(3*150+2), uint8(60), mixed)
+	f.Fuzz(func(t *testing.T, procs uint8, fail uint16, exit uint8, ops []byte) {
+		n, exiter := 1+int(procs%64), -1
+		if exit > 0 {
+			exiter = (int(exit) - 1) % n
+		}
+		checkKernel(t, n, int(fail%3), int(fail/3), exiter, ops)
 	})
 }
 
 // checkKernel runs one FuzzKernel program; failKind is 0 (none), 1 (panic)
-// or 2 (runtime.Goexit).
-func checkKernel(t *testing.T, procs, failKind, failStep int, ops []byte) {
+// or 2 (runtime.Goexit), and exiter is the processor whose deferred call
+// raises runtime.Goexit, or -1 for none.
+func checkKernel(t *testing.T, procs, failKind, failStep, exiter int, ops []byte) {
 	defer metrics.Enable(metrics.Enable(true))
 	reg := metrics.NewRegistry()
 	e := NewEngine(procs)
@@ -382,6 +398,9 @@ func checkKernel(t *testing.T, procs, failKind, failStep int, ops []byte) {
 	}
 	body := func(p *Proc) {
 		started[p.id] = true
+		if p.id == exiter {
+			defer runtime.Goexit()
+		}
 		defer func() {
 			deferred[p.id] = true
 			for _, w := range waiters {
@@ -437,17 +456,18 @@ func checkKernel(t *testing.T, procs, failKind, failStep int, ops []byte) {
 		t.Fatal(violation)
 	}
 	drains := procs - returned
+	if failed {
+		drains-- // the failing body is not unwound
+	}
 	switch {
-	case failed && failKind == 2:
+	case failed && failKind == 2 || exiter >= 0 && started[exiter]:
 		if !goexited {
 			t.Fatalf("Run's caller ended with %v, want runtime.Goexit", r)
 		}
-		drains--
 	case failed:
 		if r != (kernelFailure{failStep}) {
 			t.Fatalf("Run panicked with %v (Goexit: %v), want the body's kernelFailure{%d}", r, goexited, failStep)
 		}
-		drains--
 	case deadlocked:
 		if msg, _ := r.(string); !strings.HasPrefix(msg, "sim: deadlock\n") {
 			t.Fatalf("Run panicked with %v (Goexit: %v), want the deadlock dump", r, goexited)
@@ -783,6 +803,66 @@ func TestBodyGoexitContained(t *testing.T) {
 	}
 	if finish := e.Run(func(p *Proc) { p.Advance(7); p.Sync() }); finish != 7 {
 		t.Errorf("post-Goexit run finish = %d, want 7", finish)
+	}
+}
+
+// TestBodyGoexitInDeferContained: a runtime.Goexit that a body's deferred
+// call raises while the teardown unwinds it (a t.FailNow in a defer, say)
+// is contained too, whichever bodies raise it and however many. Every
+// body's defers run. Run's caller exits by runtime.Goexit: a Goexit cannot
+// be stopped, so the run's earlier panic is dropped, as a panic raised while
+// unwinding is. sim.deadlock_drains counts the three unwound bodies, no
+// goroutine is left behind, and the engine runs again.
+func TestBodyGoexitInDeferContained(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		fail    func()
+		goexits []int // the processors whose deferred call Goexits
+	}{
+		{"P0", boom, []int{0}},
+		{"P2", boom, []int{2}},
+		{"P0+P2", boom, []int{0, 2}},
+		{"P0+P2+P3", boom, []int{0, 2, 3}},
+		{"P0-after-Goexit", runtime.Goexit, []int{0}},
+		{"P0+P3-after-Goexit", runtime.Goexit, []int{0, 3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer metrics.Enable(metrics.Enable(true))
+			reg := metrics.NewRegistry()
+			e := NewEngine(4)
+			e.InstrumentMetrics(reg)
+			before := runtime.NumGoroutine()
+			const runs = 10
+			for i := 0; i < runs; i++ {
+				var unwound [4]bool
+				body := panickyBody(e, &unwound, c.fail)
+				_, goexited, r := runOnGoroutine(e, func(p *Proc) {
+					for _, id := range c.goexits {
+						if id == p.ID() {
+							defer runtime.Goexit()
+						}
+					}
+					body(p)
+				})
+				if !goexited {
+					t.Fatalf("run %d: Run's caller ended with %v, want runtime.Goexit", i, r)
+				}
+				for id, u := range unwound {
+					if !u {
+						t.Fatalf("run %d: P%d's defers did not run", i, id)
+					}
+				}
+			}
+			if got := reg.Snapshot().Counter("sim.deadlock_drains"); got != 3*runs {
+				t.Errorf("sim.deadlock_drains = %d after %d runs, want 3 unwound bodies a run", got, runs)
+			}
+			if after := settleGoroutines(before); after > before {
+				t.Errorf("goroutines grew from %d to %d across %d runs", before, after, runs)
+			}
+			if finish := e.Run(func(p *Proc) { p.Advance(7); p.Sync() }); finish != 7 {
+				t.Errorf("next run finish = %d, want 7", finish)
+			}
+		})
 	}
 }
 
