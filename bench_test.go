@@ -10,7 +10,9 @@ package zsim
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
+	"time"
 )
 
 // BenchmarkExperiments regenerates each entry of the experiment index
@@ -33,63 +35,81 @@ func BenchmarkExperiments(b *testing.B) {
 
 // BenchmarkCheckerOverhead measures the cost of running with the
 // conformance checker attached against the plain run (acceptance budget:
-// ≤2× slowdown). The checked/unchecked wall-time ratio is reported as a
-// metric; compare with
+// ≤2× slowdown). Each iteration runs IS on RCinv once unchecked and once
+// checked, and the median checked/unchecked wall-time ratio is reported as
+// a metric; compare with
 //
-//	go test -bench 'CheckerOverhead' -benchtime 5x
+//	go test -run '^$' -bench 'CheckerOverhead' -benchtime 20x .
 func BenchmarkCheckerOverhead(b *testing.B) {
 	params := DefaultParams(16)
-	run := func(b *testing.B, checked bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			app, err := NewBenchmark("is", ScaleSmall)
-			if err != nil {
+	b.ReportAllocs()
+	b.ReportMetric(overheadRatio(b, func(checked bool) {
+		app, err := NewBenchmark("is", ScaleSmall)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := NewMachine(RCInv, params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if checked {
+			m.EnableCheck()
+		}
+		if _, err := RunAppOn(app, m); err != nil {
+			b.Fatal(err)
+		}
+		if checked {
+			if err := m.Checker().Err(); err != nil {
 				b.Fatal(err)
-			}
-			m, err := NewMachine(RCInv, params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if checked {
-				m.EnableCheck()
-			}
-			if _, err := RunAppOn(app, m); err != nil {
-				b.Fatal(err)
-			}
-			if checked {
-				if err := m.Checker().Err(); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}
-	}
-	b.Run("unchecked", func(b *testing.B) { run(b, false) })
-	b.Run("checked", func(b *testing.B) { run(b, true) })
+	}), "checked/unchecked")
 }
 
 // BenchmarkMetricsOverhead measures the cost of running with metric
 // recording enabled against the plain run (acceptance budget: ≤1.1×
 // slowdown — the hot path only pays one atomic load per observation point
-// plus the end-of-run harvest). Compare with
+// plus the end-of-run harvest). Each iteration runs IS on RCinv once with
+// metrics off and once with them on, and the median enabled/disabled
+// wall-time ratio is reported as a metric; compare with
 //
-//	go test -bench 'MetricsOverhead' -benchtime 20x
+//	go test -run '^$' -bench 'MetricsOverhead' -benchtime 20x .
 func BenchmarkMetricsOverhead(b *testing.B) {
 	params := DefaultParams(16)
-	run := func(b *testing.B, enabled bool) {
-		b.ReportAllocs()
-		prev := EnableMetrics(enabled)
-		defer func() {
-			EnableMetrics(prev)
-			ResetGlobalMetrics()
-		}()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunBenchmark("is", ScaleSmall, RCInv, params); err != nil {
-				b.Fatal(err)
+	defer EnableMetrics(EnableMetrics(false))
+	defer ResetGlobalMetrics()
+	b.ReportAllocs()
+	b.ReportMetric(overheadRatio(b, func(enabled bool) {
+		EnableMetrics(enabled)
+		if _, err := RunBenchmark("is", ScaleSmall, RCInv, params); err != nil {
+			b.Fatal(err)
+		}
+	}), "enabled/disabled")
+}
+
+// overheadRatio runs run(false) and run(true) once each per iteration,
+// alternating which goes first so that host drift weighs on both sides
+// alike, and returns the median over the iterations of the true run's wall
+// time over the false run's.
+func overheadRatio(b *testing.B, run func(on bool)) float64 {
+	ratios := make([]float64, b.N)
+	for i := range ratios {
+		var off, on time.Duration
+		for k := 0; k < 2; k++ {
+			start := time.Now()
+			if (i+k)%2 == 0 {
+				run(false)
+				off = time.Since(start)
+			} else {
+				run(true)
+				on = time.Since(start)
 			}
 		}
+		ratios[i] = float64(on) / float64(off)
 	}
-	b.Run("disabled", func(b *testing.B) { run(b, false) })
-	b.Run("enabled", func(b *testing.B) { run(b, true) })
+	sort.Float64s(ratios)
+	n := len(ratios)
+	return (ratios[(n-1)/2] + ratios[n/2]) / 2
 }
 
 // parallelLevels returns the worker bounds the grid benchmarks compare:
