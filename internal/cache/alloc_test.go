@@ -9,9 +9,10 @@ import (
 
 // The infinite caches back every node of the simulated machine and are
 // consulted on every access; their steady state must not hash or allocate,
-// in the one-node table of NewInfinite and in a machine's shared table.
+// in the one-node table of NewInfinite and in a machine's shared table, up
+// to the many-core cap.
 func TestInfiniteSteadyStateZeroAlloc(t *testing.T) {
-	for _, nodes := range []int{1, 64} {
+	for _, nodes := range []int{1, 64, memsys.MaxProcs} {
 		t.Run(fmt.Sprint(nodes), func(t *testing.T) {
 			_, cs := NewInfinites(nodes)
 			for _, c := range cs {

@@ -4,11 +4,12 @@
 // LRU variant implements the paper's §7 "open issues" extension, introducing
 // capacity and conflict misses.
 //
-// A machine's infinite caches share one line-major copy table
-// (NewInfinites): the copies of one line lie side by side in one row, and a
-// page holds whole rows, so a coherence fan-out reads a line's copies as
-// one slice (Table.Row) and indexes it by sharer. Finite caches have no
-// rows; a fan-out asks each sharer's cache with Lookup.
+// A machine's infinite caches share one copy table (NewInfinites), cut
+// into tiles of 8 lines × 16 nodes that are allocated when a copy is first
+// placed in them, so its memory follows the copies a run makes, not lines
+// × nodes. A coherence fan-out reads a line's copies through Table.Copies,
+// one tile per 16 nodes, and indexes them by sharer. Finite caches have no
+// table; a fan-out asks each sharer's cache with Lookup.
 package cache
 
 import (
@@ -82,20 +83,21 @@ type Cache interface {
 }
 
 // NewInfinites returns the unbounded caches (the paper's default) of a
-// machine's nodes, one per node, and the line-major copy table they share:
-// node n's copy of line l is slot n of row l, so the copies of one line lie
-// side by side, and a coherence fan-out over a line's sharers reads one
-// row instead of one page in each node's table. The shared heap is a bump
-// allocator, so line numbers are dense from zero, and a lookup on the
-// per-access hot path is two array indexings with no hashing, no per-line
-// pointer, and no steady-state allocation. A slot is the Line itself:
+// machine's nodes, one per node, and the copy table they share. The shared
+// heap is a bump allocator, so line numbers are dense from zero, and a
+// lookup on the per-access hot path is two array indexings with no
+// hashing and no steady-state allocation. A slot is the Line itself:
 // State == Invalid marks it absent.
 func NewInfinites(nodes int) (*Table, []Cache) {
-	t := newTable(nodes)
+	t := &Table{cols: uint64(nodes+tileNodes-1) / tileNodes, width: tileWidth}
+	for t.width > 0 && nodes <= 1<<(t.width-1) {
+		t.width--
+	}
+	t.group = tileShift - t.width
 	views := make([]infinite, nodes)
 	cs := make([]Cache, nodes)
 	for i := range views {
-		views[i] = infinite{t: t, node: uint64(i)}
+		views[i] = infinite{t: t, col: uint64(i) / tileNodes, node: uint64(i) % tileNodes}
 		cs[i] = &views[i]
 	}
 	return t, cs
@@ -103,88 +105,128 @@ func NewInfinites(nodes int) (*Table, []Cache) {
 
 // NewInfinite returns one unbounded cache: the one-node case of
 // NewInfinites.
-func NewInfinite() Cache { return &infinite{t: newTable(1)} }
+func NewInfinite() Cache {
+	_, cs := NewInfinites(1)
+	return cs[0]
+}
 
-// pageSlots bounds a page of the copy table, as memsys.Paged's 512-element
-// pages do: the page size is what a first touch zeroes.
-const pageSlots = 512
+// The copy table is cut into tiles of 128 slots, 2 KiB: 8 lines × 16
+// nodes. A machine of fewer nodes has one column of tiles, as wide as its
+// node count rounded up to a power of two, each holding 128/width lines.
+// A tile is allocated when the first copy is placed in it, so the table's
+// memory follows the copies a run makes, not lines × nodes.
+const (
+	tileShift = 7 // a tile holds 1<<tileShift slots
+	tileWidth = 4 // and a row of 1<<tileWidth nodes for each of its lines
+	tileNodes = 1 << tileWidth
+	tileSlots = 1 << tileShift
+)
 
-// slabPages caps how many pages one allocation holds. A table carves its
-// pages, in the order they are first touched, from slabs of 1, 1, 2, 4 and
-// then slabPages pages, so a small table wastes little and a large one
-// leaves the collector a few large slabs to free when its machine is
-// dropped, not one object per page. With one 32 KiB object per page, the
-// first 32 KiB allocation of the next machine's set-up (the mesh's link
-// table at 1024 nodes) swept hundreds of dead pages and more than doubled
-// that machine's construction time (DESIGN.md §10).
-const slabPages = 8
+// slabTiles caps how many tiles one allocation holds. A table carves its
+// tiles, in the order they are first touched, from slabs of 1, 1, 2, 4 and
+// so on up to slabTiles tiles (64 KiB), so a small table wastes little and
+// a large one leaves the collector a few large slabs to free when its
+// machine is dropped, not one object per tile. With one 32 KiB object per
+// page of whole rows, the first 32 KiB allocation of the next machine's
+// set-up (the mesh's link table at 1024 nodes) swept hundreds of dead pages
+// and more than doubled that machine's construction time (DESIGN.md §10).
+const slabTiles = 32
 
-// Table is a machine's line-major copy table. Row l holds every node's copy
-// of line l, one slot per node. A page holds 2^shift whole rows, the most
-// that fit in pageSlots slots, or one row when nodes > pageSlots, so no row
-// straddles a page. A page is carved from a slab on first touch and never
-// moves, so the Line pointers and rows the table hands out stay valid.
+// tile holds the copies of 1<<(tileShift-width) consecutive lines at
+// 1<<width consecutive nodes, line by line: one line's copies at those
+// nodes lie side by side.
+type tile [tileSlots]Line
+
+// Table is a machine's copy table. Node n's copy of line l is slot
+// (l<<width | n%16) % 128 of tile (l>>group)·cols + n/16, where cols =
+// ⌈nodes/16⌉, width is 4 (2^width nodes a tile row) and group 3 (2^group
+// lines a tile) from 16 nodes up. A tile is carved from a slab on first
+// touch and never moves, so the Line pointers the table hands out stay
+// valid.
 type Table struct {
-	pages       [][]Line
-	slab        []Line // what the last slab holds beyond the pages carved from it
-	carved      int    // pages carved so far
-	nodes       uint64
-	shift, mask uint64 // page of row l: l>>shift; row within it: l&mask
+	tiles  []*tile // nil where no copy was ever placed
+	slab   []tile  // what the last slab holds beyond the tiles carved from it
+	carved int     // tiles carved so far
+	cols   uint64  // tiles per group of lines
+	width  uint64  // log2 of a tile row's nodes
+	group  uint64  // log2 of a tile's lines: tileShift - width
 }
 
-func newTable(nodes int) *Table {
-	shift := uint64(0)
-	for nodes<<(shift+1) <= pageSlots {
-		shift++
+// tile returns the tile of column col in the group of line i, carving it
+// on first touch. The tile vector grows by whole groups, so a group's
+// tiles are always one stretch of it.
+func (t *Table) tile(i, col uint64) *tile {
+	g := i >> t.group * t.cols
+	if g >= uint64(len(t.tiles)) {
+		t.tiles = memsys.Extend(t.tiles, int(g+t.cols))
 	}
-	return &Table{nodes: uint64(nodes), shift: shift, mask: 1<<shift - 1}
-}
-
-// Row returns the copies of the line, one per node, allocating their page
-// on first touch. A coherence fan-out indexes it by sharer; setting a
-// slot's State to Invalid invalidates that node's copy.
-func (t *Table) Row(line memsys.Addr) []Line {
-	i := uint64(line)
-	pi := i >> t.shift
-	if pi >= uint64(len(t.pages)) {
-		t.pages = memsys.Extend(t.pages, int(pi)+1)
-	}
-	p := t.pages[pi]
+	p := t.tiles[g+col]
 	if p == nil {
-		n := t.nodes << t.shift
-		if uint64(len(t.slab)) < n {
-			t.slab = make([]Line, n*uint64(min(max(t.carved, 1), slabPages)))
+		if len(t.slab) == 0 {
+			t.slab = make([]tile, min(max(t.carved, 1), slabTiles))
 		}
-		p, t.slab = t.slab[:n:n], t.slab[n:]
-		t.pages[pi] = p
+		p, t.slab = &t.slab[0], t.slab[1:]
+		t.tiles[g+col] = p
 		t.carved++
 	}
-	o := (i & t.mask) * t.nodes
-	return p[o : o+t.nodes : o+t.nodes]
+	return p
 }
 
-// infinite is one node's column of a shared copy table.
+// Copies returns a view of the line's copies, one per node, for a
+// coherence fan-out to index by sharer. It allocates nothing.
+func (t *Table) Copies(line memsys.Addr) Copies {
+	i := uint64(line)
+	row := i << t.width % tileSlots
+	if g := i >> t.group * t.cols; g < uint64(len(t.tiles)) {
+		return Copies{tiles: t.tiles[g : g+t.cols : g+t.cols], row: row}
+	}
+	return Copies{row: row}
+}
+
+// Copies is one line's copies in a Table: the line's tiles, one per
+// tileNodes nodes, and the line's row within each.
+type Copies struct {
+	tiles []*tile
+	row   uint64 // the line's first slot in each tile
+}
+
+// At returns node n's copy of the line, or nil when no copy was ever
+// placed in its tile. Setting the copy's State to Invalid invalidates it.
+func (c Copies) At(n int) *Line {
+	if k := uint(n) / tileNodes; k < uint(len(c.tiles)) && c.tiles[k] != nil {
+		return &c.tiles[k][(c.row|uint64(n)%tileNodes)%tileSlots]
+	}
+	return nil
+}
+
+// infinite is one node's view of a shared copy table.
 type infinite struct {
 	t    *Table // shared by all the machine's nodes
-	node uint64
+	col  uint64 // the node's column of tiles
+	node uint64 // the node's slot within each of its tiles' rows
 }
 
-// Lookup is on every access's path. An untouched page is a nil slice, so
-// one bounds check covers both a missing page and the slot's offset; the
-// shift is masked so that it compiles to one instruction.
+// slot is the index of line i's copy in the node's tile.
+func (c *infinite) slot(i uint64) uint64 { return (i<<c.t.width | c.node) % tileSlots }
+
+// Lookup is on every access's path: one load of the tile's pointer and
+// one of the slot's State. The shifts are masked so that each compiles to
+// one instruction.
 func (c *infinite) Lookup(line memsys.Addr) (*Line, bool) {
 	t, i := c.t, uint64(line)
-	if pi := i >> (t.shift & 63); pi < uint64(len(t.pages)) {
-		p := t.pages[pi]
-		if o := (i&t.mask)*t.nodes + c.node; o < uint64(len(p)) && p[o].State != Invalid {
-			return &p[o], true
+	if ti := i>>(t.group&63)*t.cols + c.col; ti < uint64(len(t.tiles)) {
+		if p := t.tiles[ti]; p != nil {
+			if l := &p[(i<<(t.width&63)|c.node)%tileSlots]; l.State != Invalid {
+				return l, true
+			}
 		}
 	}
 	return nil, false
 }
 
 func (c *infinite) Insert(line memsys.Addr) (*Line, memsys.Addr, State, bool) {
-	l := &c.t.Row(line)[c.node]
+	i := uint64(line)
+	l := &c.t.tile(i, c.col)[c.slot(i)]
 	if l.State == Invalid {
 		*l = Line{State: Shared}
 	}
@@ -200,26 +242,30 @@ func (c *infinite) Invalidate(line memsys.Addr) {
 func (c *infinite) Touch(memsys.Addr) {}
 func (c *infinite) Evictions() uint64 { return 0 }
 
-// Len counts the node's copies. A fan-out invalidates copies in their row,
-// past the view, so the view keeps no count; Len is read only when a run's
-// metrics are published.
+// Len counts the node's copies. A fan-out invalidates copies through
+// Copies, past the view, so the view keeps no count; Len is read only when
+// a run's metrics are published.
 func (c *infinite) Len() int {
 	n := 0
 	c.ForEach(func(memsys.Addr, *Line) { n++ })
 	return n
 }
 
-// ForEach steps through the node's own slots, one per line, so a sweep of
-// every node (the conformance audit) reads the table once.
+// ForEach steps through the node's column of tiles, in ascending line
+// order, so a sweep of every node (the conformance audit) reads each tile
+// once per node of its column.
 func (c *infinite) ForEach(f func(memsys.Addr, *Line)) {
 	t := c.t
-	for pi, p := range t.pages {
-		line := memsys.Addr(pi) << t.shift
-		for o := c.node; o < uint64(len(p)); o += t.nodes {
-			if l := &p[o]; l.State != Invalid {
-				f(line, l)
+	lines := memsys.Addr(1) << t.group
+	for ti, line := c.col, memsys.Addr(0); ti < uint64(len(t.tiles)); ti, line = ti+t.cols, line+lines {
+		p := t.tiles[ti]
+		if p == nil {
+			continue
+		}
+		for k := memsys.Addr(0); k < lines; k++ {
+			if l := &p[c.slot(uint64(line+k))]; l.State != Invalid {
+				f(line+k, l)
 			}
-			line++
 		}
 	}
 }

@@ -212,9 +212,10 @@ func TestStateString(t *testing.T) {
 }
 
 // checkSharedTable exercises a machine's shared copy table: every node's
-// copy of a line is its own and is slot n of the line's row, no row
-// straddles a page, Len and ForEach see only the node's own copies (in
-// ascending line order), and an invalidated slot comes back reset.
+// copy of a line is its own and sits where the tile geometry puts it, the
+// table carves a tile only where a copy was placed, Len and ForEach see
+// only the node's own copies (in ascending line order), and an invalidated
+// slot comes back reset.
 func checkSharedTable(t *testing.T, nodes int) {
 	tab, cs := NewInfinites(nodes)
 	if len(cs) != nodes {
@@ -224,6 +225,7 @@ func checkSharedTable(t *testing.T, nodes int) {
 	// nodes hold different counts and share every line with other nodes.
 	const shared = memsys.Addr(5000)
 	want := make([]map[memsys.Addr]bool, nodes)
+	touched := map[[2]int]bool{} // the (line group, node/16) tiles that hold a copy
 	for n, c := range cs {
 		want[n] = map[memsys.Addr]bool{memsys.Addr(n % 7): true, shared: true}
 		if n%2 == 1 {
@@ -232,7 +234,11 @@ func checkSharedTable(t *testing.T, nodes int) {
 		for line := range want[n] {
 			l, _, _, _ := c.Insert(line)
 			l.Version = uint32(n)
+			touched[[2]int{int(line) >> tab.group, n / 16}] = true
 		}
+	}
+	if tiles := countTiles(tab); tab.carved != len(touched) || tiles != len(touched) {
+		t.Fatalf("the table carved %d tiles and holds %d, want one per touched tile: %d", tab.carved, tiles, len(touched))
 	}
 	for n, c := range cs {
 		l, ok := c.Lookup(shared)
@@ -257,8 +263,8 @@ func checkSharedTable(t *testing.T, nodes int) {
 			t.Fatalf("node %d: ForEach visits %d lines, want %d", n, visits, len(want[n]))
 		}
 	}
-	for _, line := range []memsys.Addr{0, 1, 6, 7, 100, 104, shared} {
-		checkRow(t, tab, cs, line)
+	for _, line := range []memsys.Addr{0, 1, 6, 7, 100, 104, shared, shared + 1, shared + 8, 1 << 20} {
+		checkTiles(t, tab, cs, line)
 	}
 	last := cs[nodes-1]
 	l, _ := last.Lookup(shared)
@@ -278,36 +284,56 @@ func checkSharedTable(t *testing.T, nodes int) {
 	}
 }
 
-// checkRow checks the line's row in the copy table: slot n is the Line that
-// node n's Lookup returns (or an Invalid slot where node n holds no copy),
-// and the row is one whole-row stretch of its page, whose length is a
-// power-of-two number of rows within 512 slots, or one row above that.
-func checkRow(t *testing.T, tab *Table, cs []Cache, line memsys.Addr) {
+// countTiles counts the tiles the table's vector points at.
+func countTiles(tab *Table) int {
+	n := 0
+	for _, p := range tab.tiles {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// checkTiles pins the tile geometry for one line. A tile is 128 slots in
+// rows of w nodes, where w is 16, or the node count rounded up to a power
+// of two below 16 nodes: node n's copy is slot (line·w + n%16) % 128 of
+// tile ⌊line·w/128⌋·⌈nodes/16⌉ + n/16, so a line's copies at a tile's
+// nodes lie side by side. Copies(line).At(n) is the Line node n's Lookup
+// returns, an Invalid slot of a carved tile where node n holds no copy, or
+// nil where no tile was carved.
+func checkTiles(t *testing.T, tab *Table, cs []Cache, line memsys.Addr) {
 	t.Helper()
 	nodes := len(cs)
-	row := tab.Row(line)
-	if len(row) != nodes || cap(row) != nodes {
-		t.Fatalf("line %d: row of len %d, cap %d, want %d", line, len(row), cap(row), nodes)
+	cols, w := (nodes+15)/16, 1
+	for w < min(nodes, 16) {
+		w *= 2
 	}
+	if tab.cols != uint64(cols) || 1<<tab.width != w || 1<<tab.group != 128/w {
+		t.Fatalf("%d nodes: %d columns of tiles with rows of %d nodes and %d lines a tile, want %d, %d and %d",
+			nodes, tab.cols, 1<<tab.width, 1<<tab.group, cols, w, 128/w)
+	}
+	cp := tab.Copies(line)
 	for n, c := range cs {
-		if l, ok := c.Lookup(line); ok && l != &row[n] || !ok && row[n].State != Invalid {
-			t.Fatalf("line %d: slot %d of the row is not node %d's copy", line, n, n)
+		l, ok := c.Lookup(line)
+		at := cp.At(n)
+		var slot *Line
+		if ti := int(line)*w/128*cols + n/16; ti < len(tab.tiles) && tab.tiles[ti] != nil {
+			slot = &tab.tiles[ti][(int(line)*w+n%16)%128]
 		}
-	}
-	var page []Line
-	for _, p := range tab.pages {
-		for k := 0; k+nodes <= len(p); k += nodes {
-			if &p[k] == &row[0] {
-				page = p
+		switch {
+		case at != slot:
+			t.Fatalf("line %d: Copies.At(%d) is not slot %d of the line's tile in column %d", line, n, (int(line)*w+n%16)%128, n/16)
+		case ok && l != at:
+			t.Fatalf("line %d: node %d's Lookup and Copies.At disagree", line, n)
+		case !ok && at != nil && at.State != Invalid:
+			t.Fatalf("line %d: Copies.At(%d) holds %+v, but node %d's Lookup misses", line, n, *at, n)
+		}
+		if n%16 > 0 && at != nil {
+			if prev := cp.At(n - 1); uintptr(unsafe.Pointer(at))-uintptr(unsafe.Pointer(prev)) != unsafe.Sizeof(Line{}) {
+				t.Fatalf("line %d: the copies of nodes %d and %d are not side by side", line, n-1, n)
 			}
 		}
-	}
-	if page == nil {
-		t.Fatalf("line %d: the row does not start at a row boundary of any page", line)
-	}
-	rows := len(page) / nodes
-	if len(page)%nodes != 0 || rows&(rows-1) != 0 || rows > 1 && len(page) > pageSlots {
-		t.Fatalf("line %d: a page of %d slots holds %d rows of %d", line, len(page), rows, nodes)
 	}
 }
 
@@ -317,9 +343,8 @@ func TestInfinitesSharedTable(t *testing.T) {
 	}
 }
 
-// TestInfinitesWide runs the shared table above 512 nodes, where a page
-// holds one row: at 513 nodes, the width that fits no power-of-two row
-// count, and at the many-core cap.
+// TestInfinitesWide runs the shared table above 512 nodes: at 513 nodes,
+// whose last tile column holds one node, and at the many-core cap.
 func TestInfinitesWide(t *testing.T) {
 	for _, nodes := range []int{513, memsys.MaxProcs} {
 		t.Run(fmt.Sprint(nodes), func(t *testing.T) { checkSharedTable(t, nodes) })
@@ -327,14 +352,18 @@ func TestInfinitesWide(t *testing.T) {
 }
 
 // TestLineSize pins the copy table's slot at 16 bytes on 64-bit hosts, and
-// with it a finite cache's way at 40: the infinite caches of a many-core
-// machine keep one slot per node for every line any node has touched.
+// with it a tile at 2 KiB and a finite cache's way at 40: the infinite
+// caches of a many-core machine keep a 128-slot tile for every 8 lines × 16
+// nodes that hold a copy.
 func TestLineSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("slot sizes are pinned for 64-bit hosts")
 	}
 	if n := unsafe.Sizeof(Line{}); n != 16 {
 		t.Fatalf("cache.Line is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(tile{}); n != 2048 {
+		t.Fatalf("a tile is %d bytes, want 2048", n)
 	}
 	if n := unsafe.Sizeof(way{}); n != 40 {
 		t.Fatalf("way is %d bytes, want 40", n)

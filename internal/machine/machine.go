@@ -192,9 +192,9 @@ func (m *Machine) Run(app string, body func(e *Env)) *stats.Result {
 }
 
 // Metrics returns a frozen snapshot of the machine's metrics registry.
-// During a run it carries the live per-event metrics (run-queue depth,
-// store-buffer occupancy, mesh hops); after Run it also carries the
-// harvested totals (sim.*, proto.*, mesh.*, directory.*, cache.*,
+// During a run it carries the live per-event metrics (store-buffer
+// occupancy, mesh hops); after Run it also carries the harvested totals
+// and the run-queue depths (sim.*, proto.*, mesh.*, directory.*, cache.*,
 // machine.*). Empty unless metrics.Enable was on when the machine was
 // built and ran.
 func (m *Machine) Metrics() metrics.Snapshot { return m.met.Snapshot() }

@@ -121,14 +121,24 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil || !on.Load() {
 		return
 	}
-	h.record(v)
+	h.record(v, 1)
 }
 
-func (h *Histogram) record(v uint64) {
+// ObserveN records n observations of v at once, exactly as n calls of
+// Observe(v) would. A single-threaded component counts a hot event's
+// values in a plain array and publishes them with it after its run.
+func (h *Histogram) ObserveN(v, n uint64) {
+	if h == nil || n == 0 || !on.Load() {
+		return
+	}
+	h.record(v, n)
+}
+
+func (h *Histogram) record(v, n uint64) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.buckets[i].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
 	raiseU64(&h.max, v)
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -82,6 +83,33 @@ func TestHistogramBuckets(t *testing.T) {
 		}
 		if s.Count != 6 || s.Sum != 112 || s.Max != 100 {
 			t.Fatalf("count/sum/max = %d/%d/%d, want 6/112/100", s.Count, s.Sum, s.Max)
+		}
+	})
+}
+
+// TestHistogramObserveN: ObserveN(v, n) leaves a histogram exactly as n
+// calls of Observe(v) do, and ObserveN(v, 0) records nothing, not even v
+// as the maximum.
+func TestHistogramObserveN(t *testing.T) {
+	withEnabled(t, true, func() {
+		r := NewRegistry()
+		bulk, one := r.Histogram("bulk", []uint64{1, 4, 16}), r.Histogram("one", []uint64{1, 4, 16})
+		for _, o := range []struct{ v, n uint64 }{{0, 3}, {2, 1}, {4, 5}, {100, 2}, {500, 0}} {
+			bulk.ObserveN(o.v, o.n)
+			for range o.n {
+				one.Observe(o.v)
+			}
+		}
+		s := r.Snapshot()
+		if b, o := s.Histograms["bulk"], s.Histograms["one"]; !reflect.DeepEqual(b, o) || b.Max != 100 {
+			t.Fatalf("ObserveN recorded %+v, Observe %+v", b, o)
+		}
+	})
+	withEnabled(t, false, func() {
+		h := NewRegistry().Histogram("off", []uint64{1})
+		h.ObserveN(1, 4)
+		if h.count.Load() != 0 {
+			t.Fatal("ObserveN recorded while metrics were off")
 		}
 	})
 }

@@ -71,14 +71,14 @@ type base struct {
 	net    *mesh.Net
 	dir    *directory.Directory
 	caches []cache.Cache
-	// rows is the infinite caches' shared copy table, from which a
-	// coherence fan-out reads a line's copies as one row; nil with finite
-	// caches, which keep no rows.
-	rows *cache.Table
-	// seen[node] marks lines ever cached by the node (cold-miss tracking):
-	// paged flat tables indexed by the dense line number, consulted on every
-	// miss, so the lookup must not hash or allocate.
-	seen []memsys.Paged[bool]
+	// copies is the infinite caches' shared copy table, from which a
+	// coherence fan-out reads a line's copies; nil with finite caches,
+	// which share no table.
+	copies *cache.Table
+	// seen is the cold-miss bitmap: bit line·nodes + node is set once the
+	// node has cached the line. It is consulted on every miss, so the
+	// lookup must not hash or allocate.
+	seen memsys.Paged[uint64]
 	ctr  *memsys.Counters
 	// targets is the list a coherence fan-out works on: sharers lists a
 	// line's presence set into it, in ascending id.
@@ -99,7 +99,6 @@ func newBase(p memsys.Params, net *mesh.Net) base {
 		p:       p,
 		net:     net,
 		dir:     directory.New(nodes, p.LineSize),
-		seen:    make([]memsys.Paged[bool], nodes),
 		ctr:     memsys.NewCounters(p.Procs),
 		nodes:   nodes,
 		threads: p.HWThreads,
@@ -108,7 +107,7 @@ func newBase(p memsys.Params, net *mesh.Net) base {
 		dropUpdate: p.FaultInjection == "drop-update",
 	}
 	if !p.FiniteCache {
-		b.rows, b.caches = cache.NewInfinites(nodes)
+		b.copies, b.caches = cache.NewInfinites(nodes)
 		return b
 	}
 	b.caches = make([]cache.Cache, nodes)
@@ -185,30 +184,22 @@ func (b *base) sharers(e *directory.Entry, p int) []int {
 	return b.targets
 }
 
-// copyOf returns node s's copy of the line: slot s of the line's row, or,
-// with finite caches, which keep no rows, the node's Lookup (nil when it
-// misses).
-func (b *base) copyOf(row []cache.Line, s int, line memsys.Addr) *cache.Line {
-	if row != nil {
-		return &row[s]
-	}
-	l, _ := b.caches[s].Lookup(line)
-	return l
-}
-
-// invalidate drops the listed nodes' copies of the line, in its row when
-// the caches keep rows, and counts one invalidation each.
+// invalidate drops the listed nodes' copies of the line, through the
+// line's copies when the caches share a table, and counts one
+// invalidation each.
 func (b *base) invalidate(line memsys.Addr, nodes []int) {
 	b.ctr.Invalidations += uint64(len(nodes))
-	if b.rows == nil {
+	if b.copies == nil {
 		for _, s := range nodes {
 			b.caches[s].Invalidate(line)
 		}
 		return
 	}
-	row := b.rows.Row(line)
+	cp := b.copies.Copies(line)
 	for _, s := range nodes {
-		row[s].State = cache.Invalid
+		if l := cp.At(s); l != nil {
+			l.State = cache.Invalid
+		}
 	}
 }
 
@@ -231,14 +222,15 @@ func (b *base) fanOut(home int, dsts []int, data bool, t Time) Time {
 	return acks
 }
 
-// markSeen records that processor p has cached the line at least once, and
+// markSeen records that node p has cached the line at least once, and
 // reports whether this is the first time (a cold touch).
 func (b *base) markSeen(p int, line memsys.Addr) (cold bool) {
-	s := b.seen[p].At(uint64(line))
-	if *s {
+	i := uint64(line)*uint64(b.nodes) + uint64(p)
+	w, bit := b.seen.At(i/64), uint64(1)<<(i%64)
+	if *w&bit != 0 {
 		return false
 	}
-	*s = true
+	*w |= bit
 	return true
 }
 

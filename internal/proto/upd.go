@@ -143,13 +143,16 @@ func (u *upd) updateTxn(p int, line memsys.Addr, t0 Time) Time {
 		// cached copy holding the previous version of the line.
 		targets = targets[1:]
 	}
-	var row []cache.Line
-	if u.rows != nil {
-		row = u.rows.Row(line)
+	var cp cache.Copies // finite caches share no table: At finds no copy
+	if u.copies != nil {
+		cp = u.copies.Copies(line)
 	}
 	var useless uint64
 	for _, s := range targets {
-		sl := u.copyOf(row, s, line)
+		sl := cp.At(s)
+		if u.copies == nil {
+			sl, _ = u.caches[s].Lookup(line)
+		}
 		if sl == nil || sl.State == cache.Invalid {
 			// Every path that drops a copy also clears its presence bit
 			// (evict sends a replacement hint), so this is a protocol bug.

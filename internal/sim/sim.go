@@ -179,11 +179,14 @@ type Engine struct {
 
 	// Instrumentation. The hot-path counts are plain fields (the engine is
 	// single-threaded) harvested into a metrics registry by PublishMetrics;
-	// only the run-queue depth histogram and deadlock-drain counter are
-	// recorded live, because they cannot be reconstructed afterwards.
+	// only the deadlock-drain counter is recorded live.
 	switches     uint64 // processor resumptions (scheduling events)
 	blocks       uint64 // Block calls observed
 	fastPathHits uint64 // Sync calls that returned without a switch
+	// depths[d] counts the scheduling pops that left d processors runnable,
+	// for sim.runq_depth; nil unless metrics were on when the engine was
+	// instrumented.
+	depths []uint64
 
 	mRunqDepth *metrics.Histogram // runnable procs remaining after each pop
 	mDrains    *metrics.Counter   // bodies unwound by teardown
@@ -195,22 +198,30 @@ type Engine struct {
 var RunqDepthBuckets = []uint64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} //zlint:ignore globalmut immutable bucket bounds, never written after package init
 
 // InstrumentMetrics attaches per-event metric handles (implements
-// metrics.Instrumentable). Harvested totals are published separately by
-// PublishMetrics at the end of a run.
+// metrics.Instrumentable) and, if metrics are on, starts counting run-queue
+// depths. Harvested totals are published separately by PublishMetrics at
+// the end of a run.
 func (e *Engine) InstrumentMetrics(r *metrics.Registry) {
 	e.mRunqDepth = r.Histogram("sim.runq_depth", RunqDepthBuckets)
 	e.mDrains = r.Counter("sim.deadlock_drains")
+	if metrics.Enabled() {
+		e.depths = make([]uint64, len(e.procs))
+	}
 }
 
 // PublishMetrics harvests the engine's plain instrumentation counts into r
-// (implements metrics.Publisher). sim.yields is the total number of
-// globally visible scheduling points: every trap costs exactly one
-// fast-path hit or one full handoff, so it is the run's trap count.
+// (implements metrics.Publisher), and the run-queue depths into the
+// sim.runq_depth histogram. sim.yields is the total number of globally
+// visible scheduling points: every trap costs exactly one fast-path hit or
+// one full handoff, so it is the run's trap count.
 func (e *Engine) PublishMetrics(r *metrics.Registry) {
 	r.Counter("sim.switches").Add(e.switches)
 	r.Counter("sim.blocks").Add(e.blocks)
 	r.Counter("sim.fastpath_hits").Add(e.fastPathHits)
 	r.Counter("sim.yields").Add(e.fastPathHits + e.switches)
+	for d, n := range e.depths {
+		e.mRunqDepth.ObserveN(uint64(d), n)
+	}
 }
 
 // NewEngine creates an engine with n processors, all with clock zero.
@@ -286,7 +297,9 @@ func (e *Engine) dispatch(self *Proc, at **Proc, k uint64) {
 		}
 		t := e.procs[q.id(k)]
 		e.switches++
-		e.mRunqDepth.Observe(uint64(q.n))
+		if e.depths != nil {
+			e.depths[q.n]++
+		}
 		if t == self || switchOn(at, t.at) || e.aborting {
 			return
 		}

@@ -979,6 +979,38 @@ func TestInstrumentationCounts(t *testing.T) {
 	}
 }
 
+// TestRunqDepthPublished: the engine counts run-queue depths itself and
+// publishes them with PublishMetrics, one observation per switch; an
+// engine instrumented with metrics off counts none.
+func TestRunqDepthPublished(t *testing.T) {
+	body := func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Advance(Time(1 + p.ID()))
+			p.Sync()
+		}
+	}
+	prev := metrics.Enable(false)
+	defer metrics.Enable(prev)
+	off := NewEngine(4)
+	off.InstrumentMetrics(metrics.NewRegistry())
+	off.Run(body)
+	if off.depths != nil {
+		t.Fatal("an engine instrumented with metrics off counts run-queue depths")
+	}
+	metrics.Enable(true)
+	r := metrics.NewRegistry()
+	e := NewEngine(4)
+	e.InstrumentMetrics(r)
+	e.Run(body)
+	if h := r.Snapshot().Histograms["sim.runq_depth"]; h.Count != 0 {
+		t.Fatalf("sim.runq_depth holds %d observations before PublishMetrics", h.Count)
+	}
+	e.PublishMetrics(r)
+	if h := r.Snapshot().Histograms["sim.runq_depth"]; h.Count != e.Switches() || h.Max != 3 {
+		t.Fatalf("sim.runq_depth: %d observations, max %d; want one per switch (%d), max 3", h.Count, h.Max, e.Switches())
+	}
+}
+
 // TestRunqDepthBucketsCoverMaxProcs: on a 1,024-processor machine, the
 // largest memsys.MaxProcs allows, every run-queue depth falls in a bounded
 // sim.runq_depth bucket, so the histogram still tells deep queues apart.
@@ -994,6 +1026,7 @@ func TestRunqDepthBucketsCoverMaxProcs(t *testing.T) {
 			p.Sync()
 		}
 	})
+	e.PublishMetrics(r)
 	h := r.Snapshot().Histograms["sim.runq_depth"]
 	if h.Max < procs/2 {
 		t.Fatalf("max run-queue depth %d: the run never queued most of the machine", h.Max)
