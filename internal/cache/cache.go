@@ -93,7 +93,7 @@ func NewInfinites(nodes int) (*Table, []Cache) {
 	for t.width > 0 && nodes <= 1<<(t.width-1) {
 		t.width--
 	}
-	t.group = tileShift - t.width
+	t.lines = tileShift - t.width
 	views := make([]infinite, nodes)
 	cs := make([]Cache, nodes)
 	for i := range views {
@@ -138,9 +138,9 @@ const slabTiles = 32
 type tile [tileSlots]Line
 
 // Table is a machine's copy table. Node n's copy of line l is slot
-// (l<<width | n%16) % 128 of tile (l>>group)·cols + n/16, where cols =
-// ⌈nodes/16⌉, width is 4 (2^width nodes a tile row) and group 3 (2^group
-// lines a tile) from 16 nodes up. A tile is carved from a slab on first
+// (l<<width | n%16) % 128 of tile (l>>lines)·cols + n/16, where cols =
+// ⌈nodes/16⌉, and from 16 nodes up width is 4 (2^width nodes a tile row)
+// and lines 3 (2^lines lines a tile). A tile is carved from a slab on first
 // touch and never moves, so the Line pointers the table hands out stay
 // valid.
 type Table struct {
@@ -149,14 +149,22 @@ type Table struct {
 	carved int     // tiles carved so far
 	cols   uint64  // tiles per group of lines
 	width  uint64  // log2 of a tile row's nodes
-	group  uint64  // log2 of a tile's lines: tileShift - width
+	lines  uint64  // log2 of a tile's lines: tileShift - width
 }
+
+// group is the index in the tile vector of the first tile of line i's
+// group of lines. The shift is masked so that it compiles to one
+// instruction.
+func (t *Table) group(i uint64) uint64 { return i >> (t.lines & 63) * t.cols }
+
+// slot is the index of line i's copy at the n-th node of a tile's column.
+func (t *Table) slot(i, n uint64) uint64 { return (i<<(t.width&63) | n) % tileSlots }
 
 // tile returns the tile of column col in the group of line i, carving it
 // on first touch. The tile vector grows by whole groups, so a group's
 // tiles are always one stretch of it.
 func (t *Table) tile(i, col uint64) *tile {
-	g := i >> t.group * t.cols
+	g := t.group(i)
 	if g >= uint64(len(t.tiles)) {
 		t.tiles = memsys.Extend(t.tiles, int(g+t.cols))
 	}
@@ -176,11 +184,10 @@ func (t *Table) tile(i, col uint64) *tile {
 // coherence fan-out to index by sharer. It allocates nothing.
 func (t *Table) Copies(line memsys.Addr) Copies {
 	i := uint64(line)
-	row := i << t.width % tileSlots
-	if g := i >> t.group * t.cols; g < uint64(len(t.tiles)) {
-		return Copies{tiles: t.tiles[g : g+t.cols : g+t.cols], row: row}
+	if g := t.group(i); g < uint64(len(t.tiles)) {
+		return Copies{tiles: t.tiles[g : g+t.cols : g+t.cols], row: t.slot(i, 0)}
 	}
-	return Copies{row: row}
+	return Copies{}
 }
 
 // Copies is one line's copies in a Table: the line's tiles, one per
@@ -206,17 +213,13 @@ type infinite struct {
 	node uint64 // the node's slot within each of its tiles' rows
 }
 
-// slot is the index of line i's copy in the node's tile.
-func (c *infinite) slot(i uint64) uint64 { return (i<<c.t.width | c.node) % tileSlots }
-
 // Lookup is on every access's path: one load of the tile's pointer and
-// one of the slot's State. The shifts are masked so that each compiles to
-// one instruction.
+// one of the slot's State.
 func (c *infinite) Lookup(line memsys.Addr) (*Line, bool) {
 	t, i := c.t, uint64(line)
-	if ti := i>>(t.group&63)*t.cols + c.col; ti < uint64(len(t.tiles)) {
+	if ti := t.group(i) + c.col; ti < uint64(len(t.tiles)) {
 		if p := t.tiles[ti]; p != nil {
-			if l := &p[(i<<(t.width&63)|c.node)%tileSlots]; l.State != Invalid {
+			if l := &p[t.slot(i, c.node)]; l.State != Invalid {
 				return l, true
 			}
 		}
@@ -226,7 +229,7 @@ func (c *infinite) Lookup(line memsys.Addr) (*Line, bool) {
 
 func (c *infinite) Insert(line memsys.Addr) (*Line, memsys.Addr, State, bool) {
 	i := uint64(line)
-	l := &c.t.tile(i, c.col)[c.slot(i)]
+	l := &c.t.tile(i, c.col)[c.t.slot(i, c.node)]
 	if l.State == Invalid {
 		*l = Line{State: Shared}
 	}
@@ -256,15 +259,15 @@ func (c *infinite) Len() int {
 // once per node of its column.
 func (c *infinite) ForEach(f func(memsys.Addr, *Line)) {
 	t := c.t
-	lines := memsys.Addr(1) << t.group
-	for ti, line := c.col, memsys.Addr(0); ti < uint64(len(t.tiles)); ti, line = ti+t.cols, line+lines {
+	lines := uint64(1) << t.lines
+	for ti, line := c.col, uint64(0); ti < uint64(len(t.tiles)); ti, line = ti+t.cols, line+lines {
 		p := t.tiles[ti]
 		if p == nil {
 			continue
 		}
-		for k := memsys.Addr(0); k < lines; k++ {
-			if l := &p[c.slot(uint64(line+k))]; l.State != Invalid {
-				f(line+k, l)
+		for k := line; k < line+lines; k++ {
+			if l := &p[t.slot(k, c.node)]; l.State != Invalid {
+				f(memsys.Addr(k), l)
 			}
 		}
 	}

@@ -234,7 +234,7 @@ func checkSharedTable(t *testing.T, nodes int) {
 		for line := range want[n] {
 			l, _, _, _ := c.Insert(line)
 			l.Version = uint32(n)
-			touched[[2]int{int(line) >> tab.group, n / 16}] = true
+			touched[[2]int{int(line) >> tab.lines, n / 16}] = true
 		}
 	}
 	if tiles := countTiles(tab); tab.carved != len(touched) || tiles != len(touched) {
@@ -309,9 +309,9 @@ func checkTiles(t *testing.T, tab *Table, cs []Cache, line memsys.Addr) {
 	for w < min(nodes, 16) {
 		w *= 2
 	}
-	if tab.cols != uint64(cols) || 1<<tab.width != w || 1<<tab.group != 128/w {
+	if tab.cols != uint64(cols) || 1<<tab.width != w || 1<<tab.lines != 128/w {
 		t.Fatalf("%d nodes: %d columns of tiles with rows of %d nodes and %d lines a tile, want %d, %d and %d",
-			nodes, tab.cols, 1<<tab.width, 1<<tab.group, cols, w, 128/w)
+			nodes, tab.cols, 1<<tab.width, 1<<tab.lines, cols, w, 128/w)
 	}
 	cp := tab.Copies(line)
 	for n, c := range cs {
