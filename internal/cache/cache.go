@@ -13,6 +13,8 @@
 package cache
 
 import (
+	"math/bits"
+
 	"zsim/internal/memsys"
 )
 
@@ -89,11 +91,8 @@ type Cache interface {
 // hashing and no steady-state allocation. A slot is the Line itself:
 // State == Invalid marks it absent.
 func NewInfinites(nodes int) (*Table, []Cache) {
-	t := &Table{cols: uint64(nodes+tileNodes-1) / tileNodes, width: tileWidth}
-	for t.width > 0 && nodes <= 1<<(t.width-1) {
-		t.width--
-	}
-	t.lines = tileShift - t.width
+	width := min(tileWidth, uint64(bits.Len(uint(nodes-1))))
+	t := &Table{cols: uint64(nodes+tileNodes-1) / tileNodes, width: width, lines: tileShift - width}
 	views := make([]infinite, nodes)
 	cs := make([]Cache, nodes)
 	for i := range views {
