@@ -68,8 +68,10 @@ func BenchmarkCheckerOverhead(b *testing.B) {
 
 // BenchmarkMetricsOverhead measures the cost of running with metric
 // recording enabled against the plain run (acceptance budget: ≤1.1×
-// slowdown — the hot path only pays one atomic load per observation point
-// plus the end-of-run harvest). Each iteration runs IS on RCinv once with
+// slowdown). A metered run builds the per-value count arrays of mesh.hops
+// and sim.runq_depth, increments them once per message and per switch,
+// and builds, fills and merges a registry when it ends; the simulated
+// layers record nothing live. Each iteration runs IS on RCinv once with
 // metrics off and once with them on, and the median enabled/disabled
 // wall-time ratio is reported as a metric; compare with
 //

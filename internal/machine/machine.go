@@ -39,10 +39,10 @@ type Machine struct {
 	values memsys.Paged[uint64]
 	procs  []stats.Proc
 	envs   []Env
-	// met is the machine's own metrics registry; every component is wired
-	// to it at construction, the run's totals are harvested into it when
-	// Run finishes, and it is then merged into metrics.Default. Recording
-	// is gated globally by metrics.Enable and never touches virtual time.
+	// met is the machine's own metrics registry, built when Run finishes
+	// with metrics on: every component's run totals are harvested into it,
+	// and it is then merged into metrics.Default. Nil until then. It never
+	// touches virtual time.
 	met *metrics.Registry
 	// rec, when non-nil, records every globally visible event.
 	rec *trace.Recorder
@@ -79,13 +79,7 @@ func New(kind memsys.Kind, p memsys.Params) (*Machine, error) {
 		procs:    make([]stats.Proc, p.Procs),
 		envs:     make([]Env, p.Procs),
 		coreFree: make([]Time, p.Nodes()),
-		met:      metrics.NewRegistry(),
 		threads:  p.HWThreads,
-	}
-	m.Eng.InstrumentMetrics(m.met)
-	m.Net.InstrumentMetrics(m.met)
-	if ins, ok := mem.(metrics.Instrumentable); ok {
-		ins.InstrumentMetrics(m.met)
 	}
 	for i := range m.envs {
 		m.envs[i] = Env{m: m, p: m.Eng.Proc(i), st: &m.procs[i]}
@@ -191,21 +185,27 @@ func (m *Machine) Run(app string, body func(e *Env)) *stats.Result {
 	return res
 }
 
-// Metrics returns a frozen snapshot of the machine's metrics registry.
-// During a run it carries the live per-event metrics (store-buffer
-// occupancy, mesh hops); after Run it also carries the harvested totals
-// and the run-queue depths (sim.*, proto.*, mesh.*, directory.*, cache.*,
-// machine.*). Empty unless metrics.Enable was on when the machine was
-// built and ran.
-func (m *Machine) Metrics() metrics.Snapshot { return m.met.Snapshot() }
+// Metrics returns a frozen snapshot of the machine's metrics registry: the
+// totals every component harvested when Run finished (sim.*, proto.*,
+// mesh.*, wbuffer.*, directory.*, cache.*, machine.*). Empty before Run
+// and unless metrics were on when Run finished; the per-value histograms
+// mesh.hops and sim.runq_depth hold observations only if metrics were also
+// on when the machine was built.
+func (m *Machine) Metrics() metrics.Snapshot {
+	if m.met == nil {
+		return metrics.Snapshot{}
+	}
+	return m.met.Snapshot()
+}
 
-// publishMetrics harvests every component's run totals into the machine's
-// registry and folds the registry into the process-global default, which
+// publishMetrics builds the machine's registry, harvests every component's
+// run totals into it and folds it into the process-global default, which
 // `paperbench -metrics` prints and the root package's regeneration golden
 // pins. Only host-visible accounting happens here: virtual time is never
 // read.
 func (m *Machine) publishMetrics(exec Time) {
-	r := m.met
+	r := metrics.NewRegistry()
+	m.met = r
 	m.Eng.PublishMetrics(r)
 	m.Net.PublishMetrics(r)
 	if pub, ok := m.Mem.(metrics.Publisher); ok {

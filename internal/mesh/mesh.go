@@ -67,38 +67,37 @@ type Net struct {
 	links []int32
 	at    []int32
 
-	// Stats.
+	// Stats, harvested by PublishMetrics at the end of a run.
 	msgs     uint64
 	bytes    uint64
 	queueing Time // total cycles spent waiting for busy links
 	occupied Time // total link-occupancy cycles injected
-
-	// mHops records the routing hop count of each message; the plain stats
-	// above are harvested by PublishMetrics at the end of a run.
-	mHops *metrics.Histogram
+	// hopCounts[h] counts the messages routed over h hops, for mesh.hops. A
+	// route never revisits a node, so h < nodes. Nil unless metrics were on
+	// when the network was built.
+	hopCounts []uint64
 }
 
 // HopBuckets are the inclusive upper bounds of the mesh.hops histogram.
 // The tail covers many-core meshes: a 32×32 mesh routes up to 62 hops.
 var HopBuckets = []uint64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64} //zlint:ignore globalmut immutable bucket bounds, never written after package init
 
-// InstrumentMetrics attaches the per-message hop histogram (implements
-// metrics.Instrumentable).
-func (n *Net) InstrumentMetrics(r *metrics.Registry) {
-	n.mHops = r.Histogram("mesh.hops", HopBuckets)
-}
-
-// PublishMetrics harvests the interconnect's aggregate stats into r
-// (implements metrics.Publisher). mesh.occupied_cycles over the product of
-// link count and run length is the network's link utilization.
+// PublishMetrics harvests the interconnect's aggregate stats and hop counts
+// into r (implements metrics.Publisher). mesh.occupied_cycles over the
+// product of link count and run length is the network's link utilization.
 func (n *Net) PublishMetrics(r *metrics.Registry) {
 	r.Counter("mesh.msgs").Add(n.msgs)
 	r.Counter("mesh.bytes").Add(n.bytes)
 	r.Counter("mesh.queue_cycles").Add(uint64(n.queueing))
 	r.Counter("mesh.occupied_cycles").Add(uint64(n.occupied))
+	h := r.Histogram("mesh.hops", HopBuckets)
+	for v, c := range n.hopCounts {
+		h.ObserveN(uint64(v), c)
+	}
 }
 
-// New builds the interconnect described by p.
+// New builds the interconnect described by p. If metrics are on, it also
+// counts each message's hops for PublishMetrics.
 func New(p memsys.Params) *Net {
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -108,7 +107,7 @@ func New(p memsys.Params) *Net {
 		panic(err)
 	}
 	ctrl, data := p.CtrlBytes, p.HeaderBytes+p.LineSize
-	return &Net{
+	n := &Net{
 		topo:          topo,
 		hopLatency:    p.HopLatency,
 		cyclesPerByte: p.LinkCyclesPerByte,
@@ -119,6 +118,10 @@ func New(p memsys.Params) *Net {
 		busy:          make([]Time, topo.Links()),
 		nodes:         topo.Nodes(),
 	}
+	if metrics.Enabled() {
+		n.hopCounts = make([]uint64, n.nodes)
+	}
+	return n
 }
 
 // tableNodes is the largest network whose routes a Net tabulates. At 64
@@ -187,8 +190,8 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 	}
 	transfer := n.transfer(bytes)
 	t, hops := n.walk(src, dst, transfer, start)
-	if n.mHops != nil && metrics.Enabled() {
-		n.mHops.Observe(uint64(hops))
+	if n.hopCounts != nil {
+		n.hopCounts[hops]++
 	}
 	n.msgs++
 	n.bytes += uint64(bytes)
@@ -208,7 +211,6 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 // call.
 func (n *Net) Fan(src int, dsts []int, out, back int, t Time) (latest Time, trips int) {
 	outT, backT := n.transfer(out), n.transfer(back)
-	observe := n.mHops != nil && metrics.Enabled()
 	latest = t
 	var spent Time // the round trips' summed durations
 	var outHops, backHops int32
@@ -218,9 +220,9 @@ func (n *Net) Fan(src int, dsts []int, out, back int, t Time) (latest Time, trip
 		}
 		at, h1 := n.walk(src, d, outT, t)
 		r, h2 := n.walk(d, src, backT, at)
-		if observe {
-			n.mHops.Observe(uint64(h1))
-			n.mHops.Observe(uint64(h2))
+		if n.hopCounts != nil {
+			n.hopCounts[h1]++
+			n.hopCounts[h2]++
 		}
 		latest = max(latest, r)
 		spent += r - t

@@ -292,9 +292,6 @@ func TestFanMatchesSends(t *testing.T) {
 	for _, c := range testNetworks() {
 		t.Run(c.name, func(t *testing.T) {
 			fan, twin := New(c.p), New(c.p)
-			fanReg, twinReg := metrics.NewRegistry(), metrics.NewRegistry()
-			fan.InstrumentMetrics(fanReg)
-			twin.InstrumentMetrics(twinReg)
 			nodes := c.p.Nodes()
 			data := c.p.HeaderBytes + c.p.LineSize
 			rng := rand.New(rand.NewSource(int64(nodes)))
@@ -350,6 +347,9 @@ func TestFanMatchesSends(t *testing.T) {
 			if fan.QueueingCycles() == 0 {
 				t.Fatal("the load never queued a message; the test would not see a booking-order difference")
 			}
+			fanReg, twinReg := metrics.NewRegistry(), metrics.NewRegistry()
+			fan.PublishMetrics(fanReg)
+			twin.PublishMetrics(twinReg)
 			fh, th := fanReg.Snapshot().Histograms["mesh.hops"], twinReg.Snapshot().Histograms["mesh.hops"]
 			if fh.Count == 0 || !reflect.DeepEqual(fh, th) {
 				t.Fatalf("mesh.hops: Fan %+v, Sends %+v", fh, th)

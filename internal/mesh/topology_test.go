@@ -276,17 +276,19 @@ func TestWideMeshHops(t *testing.T) {
 
 // TestRouteMatchesNextHop pins Route to the NextHop specification. For
 // every pair the route's runs are non-empty and expand to Hops link ids,
-// every id lies in [0, Links()), and the map from each NextHop step
-// (cur, next) to the expanded id at the same position is a bijection
-// across all pairs: two messages share a link slot exactly when their
+// Hops is below Nodes() (a route never revisits a node: Net's array of
+// hop counts relies on it), every id lies in [0, Links()), and the map
+// from each NextHop step (cur, next) to the expanded id at the same
+// position is a bijection across all pairs: two messages share a link slot exactly when their
 // NextHop walks share a link, so contention is the same as stepping hop
 // by hop. On the bus every step crosses the one shared medium. A mesh
 // route is at most one run per dimension, X before Y. Every topology is
 // covered exhaustively at 16 and 64 nodes, as is the torus on shapes
 // where its legs wrap differently: a dimension of size 2, the only one on
 // which its tie rule chooses between two links to the same neighbour, and
-// odd sides (5×3, 7×6), where a wrapping leg splits without a tie. The
-// many-core shapes are covered on a strided sample of pairs.
+// odd sides (5×3, 7×6), where a wrapping leg splits without a tie, and
+// the mesh on the 13×1 line memsys.Default builds for a prime processor
+// count. The many-core shapes are covered on a strided sample of pairs.
 func TestRouteMatchesNextHop(t *testing.T) {
 	type shape struct {
 		topo   string
@@ -298,7 +300,7 @@ func TestRouteMatchesNextHop(t *testing.T) {
 		shapes = append(shapes, shape{name, 4, 4, 1}, shape{name, 8, 8, 1})
 	}
 	shapes = append(shapes, shape{"torus", 4, 2, 1}, shape{"torus", 2, 1, 1},
-		shape{"torus", 5, 3, 1}, shape{"torus", 7, 6, 1},
+		shape{"torus", 5, 3, 1}, shape{"torus", 7, 6, 1}, shape{"mesh", 13, 1, 1},
 		shape{"mesh", 16, 16, 7}, shape{"mesh", 32, 32, 29}, shape{"torus", 32, 32, 29},
 		shape{"hier", 16, 16, 7})
 	for _, sh := range shapes {
@@ -328,6 +330,9 @@ func TestRouteMatchesNextHop(t *testing.T) {
 				}
 				if len(route) != topo.Hops(s, d) {
 					t.Fatalf("%s: Route(%d,%d) has %d links, Hops says %d", name, s, d, len(route), topo.Hops(s, d))
+				}
+				if topo.Hops(s, d) >= n {
+					t.Fatalf("%s: Hops(%d,%d) = %d, not below the %d nodes", name, s, d, topo.Hops(s, d), n)
 				}
 				i := 0
 				for cur := s; cur != d; i++ {

@@ -1,17 +1,20 @@
 // Package metrics is a dependency-free registry of atomic counters, gauges,
 // and fixed-bucket histograms used to account the simulator's *own*
 // overheads, mirroring the paper's premise that you cannot reason about a
-// memory system you do not measure. The hot layers (sim, proto, mesh,
-// wbuffer, runner) update metrics on their host-side paths only; simulated
-// virtual time is never read or written through this package, so simulated
-// results are byte-identical with metrics on or off.
+// memory system you do not measure. Simulated virtual time is never read or
+// written through this package, so simulated results are byte-identical
+// with metrics on or off.
 //
-// Cost model: every mutation is gated on a single package-level atomic flag
-// (see Enable), so a disabled build pays one atomic load and a predictable
-// branch per instrumentation site — the BenchmarkMetricsOverhead budget is
-// an enabled/disabled wall-time ratio under 1.1x on the paper workloads.
-// All mutation methods are nil-receiver-safe so uninstrumented components
-// can carry nil metric pointers for free.
+// Cost model: the simulated layers (sim, mesh, wbuffer, proto) never touch
+// a registry during a run. Each counts in plain fields of its own, and the
+// machine harvests them through Publisher into a registry it builds when
+// the run ends, so a run pays only those plain increments, plus the
+// per-value count arrays that exist when metrics were on at construction.
+// Only the concurrent host-side recorders (the runner's grid accounting,
+// zsimd's request counters) record live. Every mutation is gated on a
+// single package-level atomic flag (see Enable), and all mutation methods
+// are nil-receiver-safe. The budget, BenchmarkMetricsOverhead's
+// enabled/disabled wall-time ratio, is 1.1x.
 package metrics
 
 import (
@@ -26,8 +29,9 @@ import (
 var on atomic.Bool
 
 // Enable turns metric recording on or off and returns the previous state.
-// Toggle it before building machines: components read per-event metric
-// handles at construction, but the gate itself is checked on every update.
+// Toggle it before building machines: a machine publishes its metrics if
+// the gate is on when its run ends, and its per-value counts (mesh.hops,
+// sim.runq_depth) exist only if the gate was also on when it was built.
 func Enable(v bool) bool { return on.Swap(v) }
 
 // Enabled reports whether metric recording is on.
@@ -126,7 +130,7 @@ func (h *Histogram) Observe(v uint64) {
 
 // ObserveN records n observations of v at once, exactly as n calls of
 // Observe(v) would. A single-threaded component counts a hot event's
-// values in a plain array and publishes them with it after its run.
+// values in a plain array and publishes them with ObserveN after its run.
 func (h *Histogram) ObserveN(v, n uint64) {
 	if h == nil || n == 0 || !on.Load() {
 		return
@@ -142,8 +146,8 @@ func (h *Histogram) record(v, n uint64) {
 	raiseU64(&h.max, v)
 }
 
-// Registry is a named collection of metrics. Each Machine owns one; the
-// package-level Default aggregates across runs (see Merge).
+// Registry is a named collection of metrics. A machine builds one when its
+// run ends; the package-level Default aggregates across runs (see Merge).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -379,14 +383,8 @@ func (s Snapshot) String() string {
 	return b.String()
 }
 
-// Instrumentable is implemented by components that accept per-event metric
-// handles at construction time (store buffers, the mesh, the engine).
-type Instrumentable interface {
-	InstrumentMetrics(r *Registry)
-}
-
-// Publisher is implemented by components that publish plain internal
-// counters into a registry at harvest points (end of a machine run).
+// Publisher is implemented by components that count in plain fields and
+// publish the counts into a registry when a machine's run ends.
 type Publisher interface {
 	PublishMetrics(r *Registry)
 }

@@ -4,8 +4,6 @@ import (
 	"zsim/internal/cache"
 	"zsim/internal/memsys"
 	"zsim/internal/mesh"
-	"zsim/internal/metrics"
-	"zsim/internal/wbuffer"
 )
 
 // inv is the write-invalidate family: RCinv (paper §4: release consistency
@@ -19,7 +17,6 @@ import (
 // whose fills complete in the background.
 type inv struct {
 	base
-	sb   []wbuffer.StoreBuffer
 	sc   bool // sequentially consistent variant
 	lazy bool // rcsync: releases never drain; consumers wait on the watermark
 }
@@ -27,16 +24,9 @@ type inv struct {
 func newInv(p memsys.Params, net *mesh.Net, sc, lazy bool) *inv {
 	return &inv{
 		base: newBase(p, net),
-		sb:   wbuffer.NewStores(p.Nodes(), p.StoreBufEntries),
 		sc:   sc,
 		lazy: lazy,
 	}
-}
-
-// InstrumentMetrics wires the store buffers' per-event metric handles
-// (implements metrics.Instrumentable).
-func (v *inv) InstrumentMetrics(r *metrics.Registry) {
-	v.instrumentStoreBuffers(r, v.sb)
 }
 
 func (v *inv) Name() memsys.Kind {

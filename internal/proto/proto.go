@@ -83,6 +83,10 @@ type base struct {
 	// targets is the list a coherence fan-out works on: sharers lists a
 	// line's presence set into it, in ascending id.
 	targets []int
+	// sb is the per-node store buffers. They and the update systems' merge
+	// buffers count into wb, which PublishMetrics harvests.
+	sb []wbuffer.StoreBuffer
+	wb *wbuffer.Meter
 
 	// nodes and threads are p.Nodes() and p.HWThreads, kept as plain ints
 	// so that the per-access node and home mapping does not copy p.
@@ -95,11 +99,14 @@ type base struct {
 
 func newBase(p memsys.Params, net *mesh.Net) base {
 	nodes := p.Nodes()
+	wb := new(wbuffer.Meter)
 	b := base{
 		p:       p,
 		net:     net,
 		dir:     directory.New(nodes, p.LineSize),
 		ctr:     memsys.NewCounters(p.Procs),
+		sb:      wbuffer.NewStores(nodes, p.StoreBufEntries, wb),
+		wb:      wb,
 		nodes:   nodes,
 		threads: p.HWThreads,
 
@@ -119,22 +126,11 @@ func newBase(p memsys.Params, net *mesh.Net) base {
 
 func (b *base) Counters() *memsys.Counters { return b.ctr.Fold() }
 
-// instrumentStoreBuffers wires every node's store buffer to one shared set
-// of metric handles (per-node attribution is not needed by the gate).
-func (b *base) instrumentStoreBuffers(r *metrics.Registry, sbs []wbuffer.StoreBuffer) {
-	occ := r.Histogram("wbuffer.occupancy", wbuffer.OccupancyBuckets)
-	full := r.Counter("wbuffer.full_stall_cycles")
-	flush := r.Counter("wbuffer.flush_stall_cycles")
-	flushes := r.Counter("wbuffer.flushes")
-	for i := range sbs {
-		sbs[i].Instrument(occ, full, flush, flushes)
-	}
-}
-
 // PublishMetrics harvests the hardware state only the protocol can see —
-// directory occupancy and cache residency/evictions — into r (implements
-// metrics.Publisher). The protocol event counters (misses, invalidations,
-// updates) are published by the machine from Counters().
+// directory occupancy, cache residency/evictions and the store buffers'
+// counts — into r (implements metrics.Publisher). The protocol event
+// counters (misses, invalidations, updates) are published by the machine
+// from Counters().
 func (b *base) PublishMetrics(r *metrics.Registry) {
 	r.Gauge("directory.entries").Set(int64(b.dir.Entries()))
 	r.Counter("directory.allocs").Add(b.dir.Allocs())
@@ -146,6 +142,7 @@ func (b *base) PublishMetrics(r *metrics.Registry) {
 	}
 	r.Gauge("cache.resident_lines").Set(int64(resident))
 	r.Counter("cache.evictions").Add(evictions)
+	b.wb.PublishMetrics(r)
 }
 
 func (b *base) line(addr memsys.Addr) memsys.Addr { return memsys.Line(addr, b.p.LineSize) }

@@ -8,7 +8,6 @@ import (
 	"zsim/internal/directory"
 	"zsim/internal/memsys"
 	"zsim/internal/mesh"
-	"zsim/internal/metrics"
 	"zsim/internal/wbuffer"
 )
 
@@ -31,29 +30,14 @@ const (
 
 type upd struct {
 	base
-	sb   []wbuffer.StoreBuffer
 	mb   []wbuffer.MergeBuffer
 	mode updMode
 }
 
 func newUpd(p memsys.Params, net *mesh.Net, mode updMode) *upd {
-	return &upd{
-		base: newBase(p, net),
-		sb:   wbuffer.NewStores(p.Nodes(), p.StoreBufEntries),
-		mb:   wbuffer.NewMerges(p.Nodes(), p.MergeBufLines),
-		mode: mode,
-	}
-}
-
-// InstrumentMetrics wires the store and merge buffers' per-event metric
-// handles (implements metrics.Instrumentable).
-func (u *upd) InstrumentMetrics(r *metrics.Registry) {
-	u.instrumentStoreBuffers(r, u.sb)
-	merges := r.Counter("wbuffer.merges")
-	evictions := r.Counter("wbuffer.merge_evictions")
-	for i := range u.mb {
-		u.mb[i].Instrument(merges, evictions)
-	}
+	u := &upd{base: newBase(p, net), mode: mode}
+	u.mb = wbuffer.NewMerges(p.Nodes(), p.MergeBufLines, u.wb)
+	return u
 }
 
 func (u *upd) Name() memsys.Kind {

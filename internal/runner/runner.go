@@ -35,20 +35,6 @@ func SetParallelism(n int) int {
 	return int(parallelism.Swap(int64(n)))
 }
 
-// Grid runs cell(0), ..., cell(n-1) on up to Parallelism() workers and
-// returns the n results indexed by cell. The outcome is independent of the
-// worker count:
-//
-//   - results are collected by index, so assembly order equals serial order;
-//   - every cell runs even when another cell fails, so the pool always
-//     drains, and the returned error is the failing cell with the smallest
-//     index — exactly the error a serial left-to-right run would surface;
-//   - a panicking cell cannot wedge the pool: workers capture the panic,
-//     the remaining cells still run, and the smallest-index panic is
-//     re-raised in the caller once the pool has drained.
-//
-// Cells must be independent (no shared mutable state); each should build
-// its own machine.
 // CellWallBuckets are the inclusive upper bounds (in milliseconds) of the
 // runner.cell_wall_ms histogram. Cell wall time is host-side accounting:
 // it varies with the machine and the -parallel setting, unlike every
@@ -90,6 +76,20 @@ func newGridMetrics() *gridMetrics {
 	}
 }
 
+// Grid runs cell(0), ..., cell(n-1) on up to Parallelism() workers and
+// returns the n results indexed by cell. The outcome is independent of the
+// worker count:
+//
+//   - results are collected by index, so assembly order equals serial order;
+//   - every cell runs even when another cell fails, so the pool always
+//     drains, and the returned error is the failing cell with the smallest
+//     index — exactly the error a serial left-to-right run would surface;
+//   - a panicking cell cannot wedge the pool: workers capture the panic,
+//     the remaining cells still run, and the smallest-index panic is
+//     re-raised in the caller once the pool has drained.
+//
+// Cells must be independent (no shared mutable state); each should build
+// its own machine.
 func Grid[T any](n int, cell func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)

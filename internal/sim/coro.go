@@ -53,7 +53,7 @@ func (p *Proc) run(body func(p *Proc)) {
 		case e.aborting:
 			// Unwound by the teardown. A panic the body's defers raised
 			// while unwinding is dropped: the run already fails.
-			e.mDrains.Inc()
+			e.drains++
 		case goexit:
 			e.aborting = true
 		case r != nil:

@@ -177,37 +177,22 @@ type Engine struct {
 	failure  any
 	exiting  []*Proc
 
-	// Instrumentation. The hot-path counts are plain fields (the engine is
-	// single-threaded) harvested into a metrics registry by PublishMetrics;
-	// only the deadlock-drain counter is recorded live.
+	// Instrumentation. The counts are plain fields (the engine is
+	// single-threaded) harvested into a metrics registry by PublishMetrics.
 	switches     uint64 // processor resumptions (scheduling events)
 	blocks       uint64 // Block calls observed
 	fastPathHits uint64 // Sync calls that returned without a switch
+	drains       uint64 // bodies unwound by teardown
 	// depths[d] counts the scheduling pops that left d processors runnable,
 	// for sim.runq_depth; nil unless metrics were on when the engine was
-	// instrumented.
+	// built.
 	depths []uint64
-
-	mRunqDepth *metrics.Histogram // runnable procs remaining after each pop
-	mDrains    *metrics.Counter   // bodies unwound by teardown
 }
 
 // RunqDepthBuckets are the inclusive upper bounds of the sim.runq_depth
 // histogram: how many processors were runnable behind each scheduling pop.
 // They reach memsys.MaxProcs, so no depth a machine can have overflows.
 var RunqDepthBuckets = []uint64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} //zlint:ignore globalmut immutable bucket bounds, never written after package init
-
-// InstrumentMetrics attaches per-event metric handles (implements
-// metrics.Instrumentable) and, if metrics are on, starts counting run-queue
-// depths. Harvested totals are published separately by PublishMetrics at
-// the end of a run.
-func (e *Engine) InstrumentMetrics(r *metrics.Registry) {
-	e.mRunqDepth = r.Histogram("sim.runq_depth", RunqDepthBuckets)
-	e.mDrains = r.Counter("sim.deadlock_drains")
-	if metrics.Enabled() {
-		e.depths = make([]uint64, len(e.procs))
-	}
-}
 
 // PublishMetrics harvests the engine's plain instrumentation counts into r
 // (implements metrics.Publisher), and the run-queue depths into the
@@ -219,12 +204,15 @@ func (e *Engine) PublishMetrics(r *metrics.Registry) {
 	r.Counter("sim.blocks").Add(e.blocks)
 	r.Counter("sim.fastpath_hits").Add(e.fastPathHits)
 	r.Counter("sim.yields").Add(e.fastPathHits + e.switches)
+	r.Counter("sim.deadlock_drains").Add(e.drains)
+	h := r.Histogram("sim.runq_depth", RunqDepthBuckets)
 	for d, n := range e.depths {
-		e.mRunqDepth.ObserveN(uint64(d), n)
+		h.ObserveN(uint64(d), n)
 	}
 }
 
-// NewEngine creates an engine with n processors, all with clock zero.
+// NewEngine creates an engine with n processors, all with clock zero. If
+// metrics are on, it also counts run-queue depths for PublishMetrics.
 func NewEngine(n int) *Engine {
 	if n <= 0 {
 		panic("sim: engine needs at least one processor")
@@ -232,6 +220,9 @@ func NewEngine(n int) *Engine {
 	e := &Engine{
 		procs: make([]*Proc, n),
 		runq:  newRunQueue(n),
+	}
+	if metrics.Enabled() {
+		e.depths = make([]uint64, n)
 	}
 	procs := make([]Proc, n)
 	for i := range procs {

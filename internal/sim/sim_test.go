@@ -377,9 +377,7 @@ func FuzzKernel(f *testing.F) {
 // raises runtime.Goexit, or -1 for none.
 func checkKernel(t *testing.T, procs, failKind, failStep, exiter int, ops []byte) {
 	defer metrics.Enable(metrics.Enable(true))
-	reg := metrics.NewRegistry()
 	e := NewEngine(procs)
-	e.InstrumentMetrics(reg)
 	var (
 		step, runnable = 0, procs
 		waiters        []*Proc
@@ -485,6 +483,8 @@ func checkKernel(t *testing.T, procs, failKind, failStep, exiter int, ops []byte
 			t.Errorf("P%d's defers did not run", id)
 		}
 	}
+	reg := metrics.NewRegistry()
+	e.PublishMetrics(reg)
 	if got := reg.Snapshot().Counter("sim.deadlock_drains"); got != uint64(drains) {
 		t.Errorf("sim.deadlock_drains = %d, want the %d unfinished bodies the teardown unwound", got, drains)
 	}
@@ -828,9 +828,7 @@ func TestBodyGoexitInDeferContained(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer metrics.Enable(metrics.Enable(true))
-			reg := metrics.NewRegistry()
 			e := NewEngine(4)
-			e.InstrumentMetrics(reg)
 			before := runtime.NumGoroutine()
 			const runs = 10
 			for i := 0; i < runs; i++ {
@@ -853,6 +851,8 @@ func TestBodyGoexitInDeferContained(t *testing.T) {
 					}
 				}
 			}
+			reg := metrics.NewRegistry()
+			e.PublishMetrics(reg)
 			if got := reg.Snapshot().Counter("sim.deadlock_drains"); got != 3*runs {
 				t.Errorf("sim.deadlock_drains = %d after %d runs, want 3 unwound bodies a run", got, runs)
 			}
@@ -981,7 +981,7 @@ func TestInstrumentationCounts(t *testing.T) {
 
 // TestRunqDepthPublished: the engine counts run-queue depths itself and
 // publishes them with PublishMetrics, one observation per switch; an
-// engine instrumented with metrics off counts none.
+// engine built with metrics off counts none.
 func TestRunqDepthPublished(t *testing.T) {
 	body := func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -992,19 +992,14 @@ func TestRunqDepthPublished(t *testing.T) {
 	prev := metrics.Enable(false)
 	defer metrics.Enable(prev)
 	off := NewEngine(4)
-	off.InstrumentMetrics(metrics.NewRegistry())
 	off.Run(body)
 	if off.depths != nil {
-		t.Fatal("an engine instrumented with metrics off counts run-queue depths")
+		t.Fatal("an engine built with metrics off counts run-queue depths")
 	}
 	metrics.Enable(true)
 	r := metrics.NewRegistry()
 	e := NewEngine(4)
-	e.InstrumentMetrics(r)
 	e.Run(body)
-	if h := r.Snapshot().Histograms["sim.runq_depth"]; h.Count != 0 {
-		t.Fatalf("sim.runq_depth holds %d observations before PublishMetrics", h.Count)
-	}
 	e.PublishMetrics(r)
 	if h := r.Snapshot().Histograms["sim.runq_depth"]; h.Count != e.Switches() || h.Max != 3 {
 		t.Fatalf("sim.runq_depth: %d observations, max %d; want one per switch (%d), max 3", h.Count, h.Max, e.Switches())
@@ -1019,7 +1014,6 @@ func TestRunqDepthBucketsCoverMaxProcs(t *testing.T) {
 	const procs = 1024
 	r := metrics.NewRegistry()
 	e := NewEngine(procs)
-	e.InstrumentMetrics(r)
 	e.Run(func(p *Proc) {
 		for i := 0; i < 4; i++ {
 			p.Advance(Time(1 + p.ID()%7))

@@ -19,40 +19,66 @@ import (
 // wbuffer.occupancy histogram (in-flight entries seen at each Reserve).
 var OccupancyBuckets = []uint64{0, 1, 2, 4, 8, 16} //zlint:ignore globalmut immutable bucket bounds, never written after package init
 
+// Meter counts what a machine's store and merge buffers do, for the
+// wbuffer.* metrics. A machine's buffers share one, as they share one
+// goroutine at a time, so its counts are plain fields, published by
+// PublishMetrics when the run ends.
+type Meter struct {
+	// occupancy[k] counts the Reserves that found k entries in flight. It
+	// grows to the highest occupancy seen, not to the capacity, which
+	// Params.Validate leaves unbounded.
+	occupancy  []uint64
+	fullStall  uint64 // cycles stalled on a full buffer
+	flushStall uint64 // cycles stalled draining at releases
+	flushes    uint64 // DrainStall calls with entries pending
+	merging    bool   // merge buffers count here too
+	merges     uint64 // writes combined into a merging line
+	evictions  uint64 // lines displaced by a full merge buffer
+}
+
+// reserved counts a Reserve that found k entries in flight.
+func (m *Meter) reserved(k int) {
+	if k >= len(m.occupancy) {
+		m.occupancy = append(m.occupancy, make([]uint64, k+1-len(m.occupancy))...)
+	}
+	m.occupancy[k]++
+}
+
+// PublishMetrics publishes the counts into r (implements
+// metrics.Publisher): the store buffers' always, the merge buffers' when
+// any count here.
+func (m *Meter) PublishMetrics(r *metrics.Registry) {
+	h := r.Histogram("wbuffer.occupancy", OccupancyBuckets)
+	for k, n := range m.occupancy {
+		h.ObserveN(uint64(k), n)
+	}
+	r.Counter("wbuffer.full_stall_cycles").Add(m.fullStall)
+	r.Counter("wbuffer.flush_stall_cycles").Add(m.flushStall)
+	r.Counter("wbuffer.flushes").Add(m.flushes)
+	if m.merging {
+		r.Counter("wbuffer.merges").Add(m.merges)
+		r.Counter("wbuffer.merge_evictions").Add(m.evictions)
+	}
+}
+
 // StoreBuffer tracks the completion times of in-flight writes. An entry
 // retires when the protocol-level transaction it represents (ownership
 // acquisition, update fan-out) completes.
 type StoreBuffer struct {
 	cap     int
 	pending []memsys.Time // completion times, unordered
-
-	// Per-event metric handles (nil unless Instrument was called). Shared
-	// across a machine's buffers: they are atomic, and per-node attribution
-	// is not needed for the regression gate.
-	mOccupancy  *metrics.Histogram // entries in flight at each Reserve
-	mFullStall  *metrics.Counter   // cycles stalled on a full buffer
-	mFlushStall *metrics.Counter   // cycles stalled draining at releases
-	mFlushes    *metrics.Counter   // DrainStall calls with entries pending
-}
-
-// Instrument attaches per-event metric handles, all nil-safe; the protocol
-// that owns the buffer wires every node's buffer to the same handles.
-func (b *StoreBuffer) Instrument(occupancy *metrics.Histogram, fullStall, flushStall, flushes *metrics.Counter) {
-	b.mOccupancy = occupancy
-	b.mFullStall = fullStall
-	b.mFlushStall = flushStall
-	b.mFlushes = flushes
+	meter   *Meter
 }
 
 // NewStores returns n store buffers with the given number of entries each,
-// one per node of a machine, in one allocation.
-func NewStores(n, entries int) []StoreBuffer {
+// one per node of a machine, in one allocation. They count into m.
+func NewStores(n, entries int, m *Meter) []StoreBuffer {
 	if entries <= 0 {
 		panic("wbuffer: store buffer needs at least one entry")
 	}
 	b := make([]StoreBuffer, n)
 	for i := range b {
-		b[i].cap = entries
+		b[i].cap, b[i].meter = entries, m
 	}
 	return b
 }
@@ -83,7 +109,7 @@ func (b *StoreBuffer) Pending(now memsys.Time) int {
 // Add the new entry's completion time.
 func (b *StoreBuffer) Reserve(now memsys.Time) (stall memsys.Time) {
 	b.retire(now)
-	b.mOccupancy.Observe(uint64(len(b.pending)))
+	b.meter.reserved(len(b.pending))
 	if len(b.pending) < b.cap {
 		return 0
 	}
@@ -96,7 +122,7 @@ func (b *StoreBuffer) Reserve(now memsys.Time) (stall memsys.Time) {
 	}
 	stall = min - now
 	b.retire(min)
-	b.mFullStall.Add(uint64(stall))
+	b.meter.fullStall += uint64(stall)
 	return stall
 }
 
@@ -132,11 +158,11 @@ func (b *StoreBuffer) DrainStall(now memsys.Time) (stall memsys.Time) {
 		}
 	}
 	if len(b.pending) > 0 {
-		b.mFlushes.Inc()
+		b.meter.flushes++
 	}
 	b.pending = b.pending[:0]
 	if max > now {
-		b.mFlushStall.Add(uint64(max - now))
+		b.meter.flushStall += uint64(max - now)
 		return max - now
 	}
 	return 0
@@ -148,28 +174,22 @@ func (b *StoreBuffer) DrainStall(now memsys.Time) (stall memsys.Time) {
 type MergeBuffer struct {
 	cap   int
 	lines []memsys.Addr // FIFO, oldest first
-
-	mMerges    *metrics.Counter // writes combined into a merging line
-	mEvictions *metrics.Counter // lines displaced by a full buffer
-}
-
-// Instrument attaches per-event metric handles (nil-safe).
-func (m *MergeBuffer) Instrument(merges, evictions *metrics.Counter) {
-	m.mMerges = merges
-	m.mEvictions = evictions
+	meter *Meter
 }
 
 // NewMerges returns n merge buffers holding cap cache lines each (the
-// paper uses 1), one per node of a machine, in one allocation.
-func NewMerges(n, cap int) []MergeBuffer {
+// paper uses 1), one per node of a machine, in one allocation. They count
+// into m.
+func NewMerges(n, cap int, m *Meter) []MergeBuffer {
 	if cap <= 0 {
 		panic("wbuffer: merge buffer needs at least one line")
 	}
-	m := make([]MergeBuffer, n)
-	for i := range m {
-		m[i].cap = cap
+	m.merging = true
+	b := make([]MergeBuffer, n)
+	for i := range b {
+		b[i].cap, b[i].meter = cap, m
 	}
-	return m
+	return b
 }
 
 // Cap returns the merge buffer capacity in lines.
@@ -194,14 +214,14 @@ func (m *MergeBuffer) Contains(line memsys.Addr) bool {
 // can emit its update message.
 func (m *MergeBuffer) Put(line memsys.Addr) (victim memsys.Addr, evicted bool) {
 	if m.Contains(line) {
-		m.mMerges.Inc()
+		m.meter.merges++
 		return 0, false
 	}
 	if len(m.lines) == m.cap {
 		victim = m.lines[0]
 		copy(m.lines, m.lines[1:])
 		m.lines[len(m.lines)-1] = line
-		m.mEvictions.Inc()
+		m.meter.evictions++
 		return victim, true
 	}
 	m.lines = append(m.lines, line)

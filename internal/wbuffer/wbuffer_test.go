@@ -1,14 +1,16 @@
 package wbuffer
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"zsim/internal/memsys"
+	"zsim/internal/metrics"
 )
 
 func TestReserveFreeWhenEmpty(t *testing.T) {
-	b := &NewStores(1, 4)[0]
+	b := &NewStores(1, 4, new(Meter))[0]
 	if s := b.Reserve(10); s != 0 {
 		t.Fatalf("stall = %d on empty buffer, want 0", s)
 	}
@@ -19,7 +21,7 @@ func TestReserveFreeWhenEmpty(t *testing.T) {
 }
 
 func TestReserveStallsWhenFull(t *testing.T) {
-	b := &NewStores(1, 2)[0]
+	b := &NewStores(1, 2, new(Meter))[0]
 	b.Add(100)
 	b.Add(50)
 	stall := b.Reserve(10)
@@ -33,7 +35,7 @@ func TestReserveStallsWhenFull(t *testing.T) {
 }
 
 func TestEntriesRetireWithTime(t *testing.T) {
-	b := &NewStores(1, 2)[0]
+	b := &NewStores(1, 2, new(Meter))[0]
 	b.Add(30)
 	b.Add(40)
 	if s := b.Reserve(35); s != 0 {
@@ -42,7 +44,7 @@ func TestEntriesRetireWithTime(t *testing.T) {
 }
 
 func TestDrainStall(t *testing.T) {
-	b := &NewStores(1, 4)[0]
+	b := &NewStores(1, 4, new(Meter))[0]
 	b.Add(100)
 	b.Add(70)
 	if s := b.DrainStall(60); s != 40 {
@@ -57,7 +59,7 @@ func TestDrainStall(t *testing.T) {
 }
 
 func TestDrainStallPastCompletion(t *testing.T) {
-	b := &NewStores(1, 4)[0]
+	b := &NewStores(1, 4, new(Meter))[0]
 	b.Add(10)
 	if s := b.DrainStall(50); s != 0 {
 		t.Fatalf("drain stall = %d, want 0 when all retired", s)
@@ -70,7 +72,7 @@ func TestAddWithoutSlotPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	b := &NewStores(1, 1)[0]
+	b := &NewStores(1, 1, new(Meter))[0]
 	b.Add(10)
 	b.Add(20)
 }
@@ -80,7 +82,7 @@ func TestAddWithoutSlotPanics(t *testing.T) {
 // the earliest completion when full.
 func TestStoreOccupancyProperty(t *testing.T) {
 	f := func(deltas []uint8) bool {
-		b := &NewStores(1, 4)[0]
+		b := &NewStores(1, 4, new(Meter))[0]
 		var now memsys.Time
 		for _, d := range deltas {
 			now += memsys.Time(d % 16)
@@ -99,7 +101,7 @@ func TestStoreOccupancyProperty(t *testing.T) {
 }
 
 func TestMergeCombines(t *testing.T) {
-	m := &NewMerges(1, 1)[0]
+	m := &NewMerges(1, 1, new(Meter))[0]
 	if v, ev := m.Put(5); ev {
 		t.Fatalf("first put evicted %d", v)
 	}
@@ -115,7 +117,7 @@ func TestMergeCombines(t *testing.T) {
 }
 
 func TestMergeEvictsOldestFIFO(t *testing.T) {
-	m := &NewMerges(1, 2)[0]
+	m := &NewMerges(1, 2, new(Meter))[0]
 	m.Put(1)
 	m.Put(2)
 	v, ev := m.Put(3)
@@ -128,7 +130,7 @@ func TestMergeEvictsOldestFIFO(t *testing.T) {
 }
 
 func TestMergeFlush(t *testing.T) {
-	m := &NewMerges(1, 3)[0]
+	m := &NewMerges(1, 3, new(Meter))[0]
 	m.Put(7)
 	m.Put(8)
 	lines := m.Flush()
@@ -146,7 +148,7 @@ func TestMergeFlush(t *testing.T) {
 // A merge buffer keeps its array across releases: once warm, cycles of
 // merging, evicting and flushing Puts allocate nothing.
 func TestMergeSteadyStateZeroAlloc(t *testing.T) {
-	m := &NewMerges(1, 4)[0]
+	m := &NewMerges(1, 4, new(Meter))[0]
 	cycle := func() {
 		for l := memsys.Addr(0); l < 6; l++ {
 			m.Put(l)
@@ -166,7 +168,7 @@ func TestMergeSteadyStateZeroAlloc(t *testing.T) {
 // duplicates.
 func TestMergeInvariantProperty(t *testing.T) {
 	f := func(lines []uint8) bool {
-		m := &NewMerges(1, 3)[0]
+		m := &NewMerges(1, 3, new(Meter))[0]
 		for _, l := range lines {
 			m.Put(memsys.Addr(l % 8))
 			if m.Len() > 3 {
@@ -188,7 +190,7 @@ func TestMergeInvariantProperty(t *testing.T) {
 }
 
 func TestConstructorPanics(t *testing.T) {
-	for _, f := range []func(){func() { NewStores(1, 0) }, func() { NewMerges(1, 0) }} {
+	for _, f := range []func(){func() { NewStores(1, 0, new(Meter)) }, func() { NewMerges(1, 0, new(Meter)) }} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -201,7 +203,7 @@ func TestConstructorPanics(t *testing.T) {
 }
 
 func TestWatermark(t *testing.T) {
-	b := &NewStores(1, 4)[0]
+	b := &NewStores(1, 4, new(Meter))[0]
 	if wm := b.Watermark(50); wm != 50 {
 		t.Fatalf("empty watermark = %d, want now", wm)
 	}
@@ -217,5 +219,79 @@ func TestWatermark(t *testing.T) {
 	// Past the last completion it degenerates to now.
 	if wm := b.Watermark(200); wm != 200 {
 		t.Fatalf("late watermark = %d, want 200", wm)
+	}
+}
+
+// TestMeterPublishes drives a store buffer of 2 entries, one of 1<<50
+// entries and a one-line merge buffer, all counting into one Meter,
+// through every counted event, then checks each published count against
+// hand-computed values. 1<<50 entries is a valid Params.StoreBufEntries
+// (Validate sets only a floor), so a count sized by the capacity would
+// fail here; that buffer never fills, and its 20 writes in flight reach
+// occupancy 19, past the last bucket bound of 16.
+func TestMeterPublishes(t *testing.T) {
+	defer metrics.Enable(metrics.Enable(true))
+	m := new(Meter)
+	huge := &NewStores(1, 1<<50, m)[0]
+	small := &NewStores(1, 2, m)[0]
+	merge := &NewMerges(1, 1, m)[0]
+
+	// Occupancies 0 and 1, then a full buffer at 2 that waits from 10 to
+	// the entry completing at 50: 40 full-stall cycles.
+	small.Reserve(0)
+	small.Add(100)
+	small.Reserve(0)
+	small.Add(50)
+	if stall := small.Reserve(10); stall != 40 {
+		t.Fatalf("full buffer stalled %d cycles, want 40", stall)
+	}
+	small.Add(200)
+	// A drain at 120 waits for the entry at 200: one flush of 80 cycles.
+	// Draining the empty buffer again is no flush.
+	small.DrainStall(120)
+	small.DrainStall(120)
+	// Occupancies 0 through 19, then a drain at the last completion: a
+	// flush that stalls no cycle.
+	for i := 0; i < 20; i++ {
+		if stall := huge.Reserve(0); stall != 0 {
+			t.Fatalf("write %d stalled %d cycles in a buffer of 1<<50 entries", i, stall)
+		}
+		huge.Add(1000)
+	}
+	huge.DrainStall(1000)
+	// Two merges into the merging line and two evictions of it.
+	for _, l := range []memsys.Addr{1, 1, 2, 2, 3} {
+		merge.Put(l)
+	}
+
+	r := metrics.NewRegistry()
+	m.PublishMetrics(r)
+	s := r.Snapshot()
+	want := map[string]uint64{
+		"wbuffer.full_stall_cycles":  40,
+		"wbuffer.flush_stall_cycles": 80,
+		"wbuffer.flushes":            2,
+		"wbuffer.merges":             2,
+		"wbuffer.merge_evictions":    2,
+	}
+	if !reflect.DeepEqual(s.Counters, want) {
+		t.Errorf("counters = %v, want %v", s.Counters, want)
+	}
+	wantOcc := metrics.HistogramSnapshot{
+		Bounds: OccupancyBuckets,
+		// 0, 1 and 2 twice (both buffers), 3 through 19 once (the large one).
+		Counts: []uint64{2, 2, 2, 2, 4, 8, 3},
+		Count:  23,
+		Sum:    0 + 1 + 2 + 19*20/2,
+		Max:    19,
+	}
+	if got := s.Histograms["wbuffer.occupancy"]; !reflect.DeepEqual(got, wantOcc) {
+		t.Errorf("wbuffer.occupancy = %+v, want %+v", got, wantOcc)
+	}
+	// A machine without merge buffers publishes no merge counts.
+	r = metrics.NewRegistry()
+	new(Meter).PublishMetrics(r)
+	if got := r.Snapshot().Counters; len(got) != 3 {
+		t.Errorf("a meter no merge buffer counts into publishes %v", got)
 	}
 }

@@ -225,3 +225,69 @@ func TestMetricsGridRepeatable(t *testing.T) {
 		}
 	}
 }
+
+// TestBufferMetricsMatchResult pins what the store-buffer, hop and
+// run-queue metrics mean, on every application at small scale on 16
+// processors and on every memory system. The store buffers' stall
+// counters are the paper's overhead classes on the invalidate systems:
+// wbuffer.full_stall_cycles is the write stall on RCinv and RCsync (whose
+// releases never drain), and wbuffer.flush_stall_cycles is the buffer
+// flush on RCinv. An update system's release flushes its merge buffer
+// through the store buffer, and a flushed line that waits for a free slot
+// counts as a full-buffer stall but is buffer flush in the paper's
+// taxonomy, so there only the two counters' sum is write stall plus
+// buffer flush. On every system mesh.hops holds one observation per
+// message and sim.runq_depth one per switch.
+func TestBufferMetricsMatchResult(t *testing.T) {
+	params := DefaultParams(16)
+	checked := map[Kind]uint64{} // stall cycles the equalities covered
+	withMetrics(true, func() {
+		for _, name := range append(Benchmarks(), "sor") {
+			for _, kind := range Kinds() {
+				app, err := NewBenchmark(name, ScaleSmall)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := NewMachine(kind, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := RunAppOn(app, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := m.Metrics()
+				cell := name + "/" + string(kind)
+				full, flush := s.Counter("wbuffer.full_stall_cycles"), s.Counter("wbuffer.flush_stall_cycles")
+				write, drain := uint64(res.TotalWriteStall()), uint64(res.TotalBufferFlush())
+				switch kind {
+				case RCInv, RCSync:
+					if full != write {
+						t.Errorf("%s: wbuffer.full_stall_cycles %d, write stall %d", cell, full, write)
+					}
+					if kind == RCInv && flush != drain {
+						t.Errorf("%s: wbuffer.flush_stall_cycles %d, buffer flush %d", cell, flush, drain)
+					}
+					checked[kind] += write + drain
+				case RCUpd, RCComp, RCAdapt:
+					if full+flush != write+drain || full < write {
+						t.Errorf("%s: wbuffer.full_stall_cycles %d + flush_stall_cycles %d, write stall %d + buffer flush %d",
+							cell, full, flush, write, drain)
+					}
+					checked[kind] += write + drain
+				}
+				if h, msgs := s.Histograms["mesh.hops"], s.Counter("mesh.msgs"); h.Count != msgs {
+					t.Errorf("%s: mesh.hops holds %d observations for %d messages", cell, h.Count, msgs)
+				}
+				if h, sw := s.Histograms["sim.runq_depth"], s.Counter("sim.switches"); h.Count != sw || sw == 0 {
+					t.Errorf("%s: sim.runq_depth holds %d observations for %d switches", cell, h.Count, sw)
+				}
+			}
+		}
+	})
+	for _, kind := range []Kind{RCInv, RCSync, RCUpd, RCComp, RCAdapt} {
+		if checked[kind] == 0 {
+			t.Errorf("%s: no application stalled on a store buffer; the equalities held vacuously", kind)
+		}
+	}
+}
