@@ -34,3 +34,28 @@ func TestInfiniteSteadyStateZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// A copy that was its tile's last gives the tile back when invalidated,
+// by its node or through Copies, and the next insert takes it back; the
+// cycle allocates nothing at any table width.
+func TestInfiniteFreeReuseZeroAlloc(t *testing.T) {
+	for _, nodes := range []int{1, 64, memsys.MaxProcs} {
+		t.Run(fmt.Sprint(nodes), func(t *testing.T) {
+			tab, cs := NewInfinites(nodes)
+			n := nodes - 1
+			c := cs[n]
+			const line = 1000 // alone in its tile
+			if got := testing.AllocsPerRun(200, func() {
+				c.Insert(line)
+				c.Invalidate(line) // gives the tile back
+				c.Insert(line)     // and takes it again
+				tab.Copies(line).Invalidate(n)
+			}); got != 0 {
+				t.Fatalf("a free and a reuse of a tile allocate %v times per run", got)
+			}
+			if tab.carved != 1 || len(tab.free) != 1 || countTiles(tab) != 0 {
+				t.Fatalf("carved %d tiles, %d given back, %d in the vector, want 1, 1 and 0", tab.carved, len(tab.free), countTiles(tab))
+			}
+		})
+	}
+}

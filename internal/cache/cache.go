@@ -5,14 +5,17 @@
 // capacity and conflict misses.
 //
 // A machine's infinite caches share one copy table (NewInfinites), cut
-// into tiles of 8 lines × 16 nodes that are allocated when a copy is first
-// placed in them, so its memory follows the copies a run makes, not lines
-// × nodes. A coherence fan-out reads a line's copies through Table.Copies,
-// one tile per 16 nodes, and indexes them by sharer. Finite caches have no
-// table; a fan-out asks each sharer's cache with Lookup.
+// into tiles of 8 lines × 16 nodes. A tile is taken when a copy is first
+// placed in it and given back when its last copy is invalidated, so the
+// table's memory follows the copies a run holds at once, not lines ×
+// nodes. A coherence fan-out reads a line's copies through Table.Copies,
+// one tile per 16 nodes, indexes them by sharer and invalidates them
+// through the same view. Finite caches have no table; a fan-out asks each
+// sharer's cache with Lookup and Invalidate.
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 
 	"zsim/internal/memsys"
@@ -112,8 +115,9 @@ func NewInfinite() Cache {
 // The copy table is cut into tiles of 128 slots, 2 KiB: 8 lines × 16
 // nodes. A machine of fewer nodes has one column of tiles, as wide as its
 // node count rounded up to a power of two, each holding 128/width lines.
-// A tile is allocated when the first copy is placed in it, so the table's
-// memory follows the copies a run makes, not lines × nodes.
+// A tile is taken when the first copy is placed in it and given back when
+// its last copy is invalidated, so the table's memory follows the copies a
+// run holds at once, not lines × nodes.
 const (
 	tileShift = 7 // a tile holds 1<<tileShift slots
 	tileWidth = 4 // and a row of 1<<tileWidth nodes for each of its lines
@@ -122,7 +126,7 @@ const (
 )
 
 // slabTiles caps how many tiles one allocation holds. A table carves its
-// tiles, in the order they are first touched, from slabs of 1, 1, 2, 4 and
+// tiles, in the order they are first needed, from slabs of 1, 1, 2, 4 and
 // so on up to slabTiles tiles (64 KiB), so a small table wastes little and
 // a large one leaves the collector a few large slabs to free when its
 // machine is dropped, not one object per tile. With one 32 KiB object per
@@ -139,13 +143,20 @@ type tile [tileSlots]Line
 // Table is a machine's copy table. Node n's copy of line l is slot
 // (l<<width | n%16) % 128 of tile (l>>lines)·cols + n/16, where cols =
 // ⌈nodes/16⌉, and from 16 nodes up width is 4 (2^width nodes a tile row)
-// and lines 3 (2^lines lines a tile). A tile is carved from a slab on first
-// touch and never moves, so the Line pointers the table hands out stay
-// valid.
+// and lines 3 (2^lines lines a tile). The table counts each tile's copies.
+// A tile enters the vector with its first copy, taken from the free list
+// or else carved from a slab, and leaves it for the free list with its
+// last, so a Line pointer the table hands out stays valid while its copy
+// is resident: once the copy is invalidated, its tile may come to hold
+// other lines' copies. Every invalidation goes through the table
+// (Cache.Invalidate, Copies.Invalidate) to keep the counts; Audit reports
+// a copy made Invalid past them.
 type Table struct {
-	tiles  []*tile // nil where no copy was ever placed
+	tiles  []*tile // nil where the tile holds no copy
+	counts []uint8 // the copies each tile of the vector holds, 0 where nil
+	free   []*tile // tiles given back, every slot Invalid
 	slab   []tile  // what the last slab holds beyond the tiles carved from it
-	carved int     // tiles carved so far
+	carved int     // tiles carved so far: the most the vector held at once
 	cols   uint64  // tiles per group of lines
 	width  uint64  // log2 of a tile row's nodes
 	lines  uint64  // log2 of a tile's lines: tileShift - width
@@ -159,32 +170,86 @@ func (t *Table) group(i uint64) uint64 { return i >> (t.lines & 63) * t.cols }
 // slot is the index of line i's copy at the n-th node of a tile's column.
 func (t *Table) slot(i, n uint64) uint64 { return (i<<(t.width&63) | n) % tileSlots }
 
-// tile returns the tile of column col in the group of line i, carving it
-// on first touch. The tile vector grows by whole groups, so a group's
-// tiles are always one stretch of it.
-func (t *Table) tile(i, col uint64) *tile {
+// tile returns the index in the tile vector of column col's tile in the
+// group of line i, and the tile, taking one on first touch: a given-back
+// tile, whose slots are all Invalid, or else a new one carved from a slab.
+// The vector grows by whole groups, so a group's tiles are always one
+// stretch of it.
+func (t *Table) tile(i, col uint64) (uint64, *tile) {
 	g := t.group(i)
 	if g >= uint64(len(t.tiles)) {
 		t.tiles = memsys.Extend(t.tiles, int(g+t.cols))
+		t.counts = memsys.Extend(t.counts, int(g+t.cols))
 	}
 	p := t.tiles[g+col]
 	if p == nil {
-		if len(t.slab) == 0 {
-			t.slab = make([]tile, min(max(t.carved, 1), slabTiles))
+		if k := len(t.free) - 1; k >= 0 {
+			p, t.free = t.free[k], t.free[:k]
+		} else {
+			if len(t.slab) == 0 {
+				t.slab = make([]tile, min(max(t.carved, 1), slabTiles))
+			}
+			p, t.slab = &t.slab[0], t.slab[1:]
+			t.carved++
 		}
-		p, t.slab = &t.slab[0], t.slab[1:]
 		t.tiles[g+col] = p
-		t.carved++
 	}
-	return p
+	return g + col, p
+}
+
+// drop invalidates l, a resident copy in tile ti, and gives the tile back
+// when l was its last copy.
+func (t *Table) drop(l *Line, ti uint64) {
+	l.State = Invalid
+	if t.counts[ti]--; t.counts[ti] == 0 {
+		t.free = append(t.free, t.tiles[ti])
+		t.tiles[ti] = nil
+	}
+}
+
+// Audit checks the table's bookkeeping and describes each fault, in tile
+// order: a tile whose count differs from the copies it holds (an empty
+// tile left in the vector is one), or a given-back tile that holds a copy.
+// Either follows from a copy made Invalid past Cache.Invalidate and
+// Copies.Invalidate, or from a write through a pointer kept past its
+// copy's invalidation.
+func (t *Table) Audit() []string {
+	var out []string
+	for ti, p := range t.tiles {
+		if held := resident(p); held != int(t.counts[ti]) {
+			lines, col := uint64(ti)/t.cols<<t.lines, uint64(ti)%t.cols<<t.width
+			out = append(out, fmt.Sprintf("copy table: tile of lines %#x-%#x, nodes %d-%d: count %d, valid slots %d",
+				lines, lines+1<<t.lines-1, col, col+1<<t.width-1, t.counts[ti], held))
+		}
+	}
+	for _, p := range t.free {
+		if held := resident(p); held != 0 {
+			out = append(out, fmt.Sprintf("copy table: given-back tile: valid slots %d", held))
+		}
+	}
+	return out
+}
+
+// resident counts the tile's valid slots; a nil tile holds none.
+func resident(p *tile) int {
+	n := 0
+	if p != nil {
+		for k := range p {
+			if p[k].State != Invalid {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Copies returns a view of the line's copies, one per node, for a
-// coherence fan-out to index by sharer. It allocates nothing.
+// coherence fan-out to index by sharer. It allocates nothing. The view
+// holds until the next Insert, which may regrow the table's vector.
 func (t *Table) Copies(line memsys.Addr) Copies {
 	i := uint64(line)
 	if g := t.group(i); g < uint64(len(t.tiles)) {
-		return Copies{tiles: t.tiles[g : g+t.cols : g+t.cols], row: t.slot(i, 0)}
+		return Copies{t: t, tiles: t.tiles[g : g+t.cols : g+t.cols], first: g, row: t.slot(i, 0)}
 	}
 	return Copies{}
 }
@@ -192,17 +257,29 @@ func (t *Table) Copies(line memsys.Addr) Copies {
 // Copies is one line's copies in a Table: the line's tiles, one per
 // tileNodes nodes, and the line's row within each.
 type Copies struct {
+	t     *Table
 	tiles []*tile
+	first uint64 // the index of tiles[0] in the table's vector
 	row   uint64 // the line's first slot in each tile
 }
 
-// At returns node n's copy of the line, or nil when no copy was ever
-// placed in its tile. Setting the copy's State to Invalid invalidates it.
+// At returns node n's copy of the line, or nil when n's tile holds no copy
+// of any of its lines. A copy At returns is resident only when its State
+// is not Invalid.
 func (c Copies) At(n int) *Line {
 	if k := uint(n) / tileNodes; k < uint(len(c.tiles)) && c.tiles[k] != nil {
 		return &c.tiles[k][(c.row|uint64(n)%tileNodes)%tileSlots]
 	}
 	return nil
+}
+
+// Invalidate drops node n's copy of the line, if it holds one, as
+// Cache.Invalidate does: it gives the copy's tile back when that was the
+// tile's last copy.
+func (c Copies) Invalidate(n int) {
+	if l := c.At(n); l != nil && l.State != Invalid {
+		c.t.drop(l, c.first+uint64(n)/tileNodes)
+	}
 }
 
 // infinite is one node's view of a shared copy table.
@@ -212,41 +289,50 @@ type infinite struct {
 	node uint64 // the node's slot within each of its tiles' rows
 }
 
-// Lookup is on every access's path: one load of the tile's pointer and
-// one of the slot's State.
-func (c *infinite) Lookup(line memsys.Addr) (*Line, bool) {
+// at returns the node's slot for the line, resident or not, and the index
+// of its tile in the vector, or nil when the tile holds no copy.
+func (c *infinite) at(line memsys.Addr) (*Line, uint64) {
 	t, i := c.t, uint64(line)
 	if ti := t.group(i) + c.col; ti < uint64(len(t.tiles)) {
 		if p := t.tiles[ti]; p != nil {
-			if l := &p[t.slot(i, c.node)]; l.State != Invalid {
-				return l, true
-			}
+			return &p[t.slot(i, c.node)], ti
 		}
+	}
+	return nil, 0
+}
+
+// Lookup is on every access's path: one load of the tile's pointer and
+// one of the slot's State.
+func (c *infinite) Lookup(line memsys.Addr) (*Line, bool) {
+	if l, _ := c.at(line); l != nil && l.State != Invalid {
+		return l, true
 	}
 	return nil, false
 }
 
 func (c *infinite) Insert(line memsys.Addr) (*Line, memsys.Addr, State, bool) {
-	i := uint64(line)
-	l := &c.t.tile(i, c.col)[c.t.slot(i, c.node)]
+	t, i := c.t, uint64(line)
+	ti, p := t.tile(i, c.col)
+	l := &p[t.slot(i, c.node)]
 	if l.State == Invalid {
 		*l = Line{State: Shared}
+		t.counts[ti]++
 	}
 	return l, 0, Invalid, false
 }
 
 func (c *infinite) Invalidate(line memsys.Addr) {
-	if l, ok := c.Lookup(line); ok {
-		l.State = Invalid
+	if l, ti := c.at(line); l != nil && l.State != Invalid {
+		c.t.drop(l, ti)
 	}
 }
 
 func (c *infinite) Touch(memsys.Addr) {}
 func (c *infinite) Evictions() uint64 { return 0 }
 
-// Len counts the node's copies. A fan-out invalidates copies through
-// Copies, past the view, so the view keeps no count; Len is read only when
-// a run's metrics are published.
+// Len counts the node's copies. The table counts copies per tile, not per
+// node, so Len steps through the node's column; only the metrics harvest
+// reads it, when a run's metrics are published.
 func (c *infinite) Len() int {
 	n := 0
 	c.ForEach(func(memsys.Addr, *Line) { n++ })

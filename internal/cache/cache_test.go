@@ -300,8 +300,8 @@ func countTiles(tab *Table) int {
 // of two below 16 nodes: node n's copy is slot (line·w + n%16) % 128 of
 // tile ⌊line·w/128⌋·⌈nodes/16⌉ + n/16, so a line's copies at a tile's
 // nodes lie side by side. Copies(line).At(n) is the Line node n's Lookup
-// returns, an Invalid slot of a carved tile where node n holds no copy, or
-// nil where no tile was carved.
+// returns, an Invalid slot where node n holds no copy but its tile holds
+// another, or nil where the tile holds no copy.
 func checkTiles(t *testing.T, tab *Table, cs []Cache, line memsys.Addr) {
 	t.Helper()
 	nodes := len(cs)

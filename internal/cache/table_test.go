@@ -28,9 +28,13 @@ const opLines = 1024
 
 // checkCopyOps runs ops on the shared copy table of a machine of the
 // given nodes and checks every step against a map keyed by (line, node).
-// It also checks that a copy's slot never moves: once any operation has
-// handed out a pointer to the slot of (line, node), every later one hands
-// out the same pointer, however many tiles were carved in between.
+// It also checks the pointer contract: while a copy is resident, every
+// operation hands out the same pointer to its slot, however many tiles
+// were taken in between, and once it is invalidated the slot is
+// forgotten, since its tile may be given back and reused. After every
+// step the tile vector must hold exactly the tiles that hold a copy, each
+// counting its copies, and the table must never have carved more tiles
+// than the most that held a copy at once.
 func checkCopyOps(t *testing.T, nodes int, ops []byte) {
 	type key struct {
 		line memsys.Addr
@@ -42,9 +46,23 @@ func checkCopyOps(t *testing.T, nodes int, ops []byte) {
 	same := func(step int, k key, l *Line) {
 		t.Helper()
 		if p, ok := slot[k]; ok && p != l {
-			t.Fatalf("step %d: node %d's slot for line %d moved", step, k.node, k.line)
+			t.Fatalf("step %d: node %d's slot for line %d moved while resident", step, k.node, k.line)
 		}
 		slot[k] = l
+	}
+	held := map[uint64]int{} // copies per tile that holds one, by index in the vector
+	peak := 0                // the most tiles that held a copy at once
+	tileOf := func(k key) uint64 { return tab.group(uint64(k.line)) + uint64(k.node)/tileNodes }
+	drop := func(k key) {
+		if _, ok := want[k]; ok {
+			if ti := tileOf(k); held[ti] > 1 {
+				held[ti]--
+			} else {
+				delete(held, ti)
+			}
+		}
+		delete(want, k)
+		delete(slot, k)
 	}
 	forEach := func(step, n int) {
 		t.Helper()
@@ -70,18 +88,41 @@ func checkCopyOps(t *testing.T, nodes int, ops []byte) {
 			t.Fatalf("step %d: node %d's Len = %d, want %d", step, n, l, len(exp))
 		}
 	}
+	tiles := func(step int) {
+		t.Helper()
+		for ti, n := range held {
+			if p := tab.tiles[ti]; p == nil || int(tab.counts[ti]) != n {
+				t.Fatalf("step %d: tile %d of the vector is %p, counting %d, but holds %d copies", step, ti, p, tab.counts[ti], n)
+			}
+		}
+		inVector := 0
+		for ti, p := range tab.tiles {
+			if p != nil {
+				inVector++
+			} else if tab.counts[ti] != 0 {
+				t.Fatalf("step %d: tile %d has left the vector but counts %d copies", step, ti, tab.counts[ti])
+			}
+		}
+		if inVector != len(held) {
+			t.Fatalf("step %d: the vector holds %d tiles, want the %d that hold a copy", step, inVector, len(held))
+		}
+		if peak = max(peak, len(held)); tab.carved > peak {
+			t.Fatalf("step %d: the table carved %d tiles, but at most %d held a copy at once", step, tab.carved, peak)
+		}
+	}
 	for step := 0; len(ops) >= 5; step, ops = step+1, ops[5:] {
 		n := (int(ops[1])<<8 | int(ops[2])) % nodes
 		k := key{memsys.Addr(int(ops[3])<<8|int(ops[4])) % opLines, n}
-		w, held := want[k]
+		w, has := want[k]
 		switch ops[0] % numOps {
 		case opInsert:
 			l, _, _, evicted := cs[n].Insert(k.line)
 			if evicted {
 				t.Fatalf("step %d: an infinite cache evicted", step)
 			}
-			if !held {
+			if !has {
 				w = Line{State: Shared}
+				held[tileOf(k)]++
 			}
 			if *l != w {
 				t.Fatalf("step %d: node %d's Insert of line %d returns %+v, want %+v", step, n, k.line, *l, w)
@@ -92,40 +133,43 @@ func checkCopyOps(t *testing.T, nodes int, ops []byte) {
 			want[k] = *l
 		case opLookup:
 			l, ok := cs[n].Lookup(k.line)
-			if ok != held || ok && *l != w {
-				t.Fatalf("step %d: node %d's Lookup of line %d: %v, want %v %+v", step, n, k.line, ok, held, w)
+			if ok != has || ok && *l != w {
+				t.Fatalf("step %d: node %d's Lookup of line %d: %v, want %v %+v", step, n, k.line, ok, has, w)
 			}
 			if ok {
 				same(step, k, l)
 			}
 		case opInvalidate:
 			cs[n].Invalidate(k.line)
-			delete(want, k)
+			drop(k)
 		case opAt, opInvalidateAt:
-			l := tab.Copies(k.line).At(n)
+			cp := tab.Copies(k.line)
+			l := cp.At(n)
 			switch {
-			case l == nil && slot[k] != nil:
-				t.Fatalf("step %d: Copies(%d).At(%d) is nil, but the slot exists", step, k.line, n)
-			case l == nil && held:
+			case l == nil && has:
 				t.Fatalf("step %d: Copies(%d).At(%d) is nil, but node %d holds the line", step, k.line, n, n)
-			case l != nil && held && *l != w:
+			case l != nil && has && *l != w:
 				t.Fatalf("step %d: Copies(%d).At(%d) holds %+v, want %+v", step, k.line, n, *l, w)
-			case l != nil && !held && l.State != Invalid:
+			case l != nil && !has && l.State != Invalid:
 				t.Fatalf("step %d: Copies(%d).At(%d) holds %+v, but node %d does not hold the line", step, k.line, n, *l, n)
 			}
-			if l != nil {
+			if has {
 				same(step, k, l)
-				if ops[0]%numOps == opInvalidateAt {
-					l.State = Invalid
-					delete(want, k)
-				}
+			}
+			if ops[0]%numOps == opInvalidateAt {
+				cp.Invalidate(n)
+				drop(k)
 			}
 		case opForEach:
 			forEach(step, n)
 		}
+		tiles(step)
 	}
 	for n := range cs {
 		forEach(-1, n)
+	}
+	if msgs := tab.Audit(); len(msgs) != 0 {
+		t.Fatalf("audit: %v", msgs)
 	}
 }
 
@@ -182,8 +226,9 @@ func FuzzCopyTable(f *testing.F) {
 	})
 }
 
-// TestCopyTablePointersStableWide: a copy's *Line stays valid while later
-// inserts carve new tiles, from new slabs, and regrow the tile vector.
+// TestCopyTablePointersStableWide: a resident copy's *Line stays valid
+// while later inserts carve new tiles, from new slabs, and regrow the tile
+// vector.
 func TestCopyTablePointersStableWide(t *testing.T) {
 	tab, cs := NewInfinites(memsys.MaxProcs)
 	l, _, _, _ := cs[5].Insert(3)
@@ -230,5 +275,72 @@ func TestCopyTableMemoryWide(t *testing.T) {
 		if _, ok := cs[512+line*7%16].Lookup(memsys.Addr(line)); !ok {
 			t.Fatalf("line %d lost", line)
 		}
+	}
+}
+
+// TestCopyTableReuseWide: at 1,024 nodes, the tiles that invalidation
+// gives back are taken again before any tile is carved. One column's
+// 1,000 copies, half invalidated by their nodes and half through Copies,
+// leave no tile in the vector, and as many copies of other lines in
+// another column carve nothing.
+func TestCopyTableReuseWide(t *testing.T) {
+	const lines = 1000
+	tab, cs := NewInfinites(memsys.MaxProcs)
+	fill := func(first, col int) {
+		for line := first; line < first+lines; line++ {
+			cs[16*col+line*7%16].Insert(memsys.Addr(line))
+		}
+	}
+	fill(0, 32)
+	carved := tab.carved
+	for line := 0; line < lines; line++ {
+		if n := 512 + line*7%16; line%2 == 0 {
+			cs[n].Invalidate(memsys.Addr(line))
+		} else {
+			tab.Copies(memsys.Addr(line)).Invalidate(n)
+		}
+	}
+	if n := countTiles(tab); n != 0 || len(tab.free) != carved {
+		t.Fatalf("with every copy invalidated the vector holds %d tiles and %d of %d are given back, want 0 and all", n, len(tab.free), carved)
+	}
+	fill(lines, 5)
+	if tab.carved != carved || len(tab.free) != 0 {
+		t.Fatalf("refilling %d lines carved %d tiles and left %d given back, want 0 and 0", lines, tab.carved-carved, len(tab.free))
+	}
+	for line := 0; line < 2*lines; line++ {
+		col := 5
+		if line < lines {
+			col = 32
+		}
+		if _, ok := cs[16*col+line*7%16].Lookup(memsys.Addr(line)); ok != (line >= lines) {
+			t.Fatalf("line %d: resident %v, want %v", line, ok, line >= lines)
+		}
+	}
+	if msgs := tab.Audit(); len(msgs) != 0 {
+		t.Fatalf("audit: %v", msgs)
+	}
+}
+
+// TestCopyTableAudit: Audit reports a copy made Invalid past the table,
+// which leaves its tile's count wrong (and an empty tile in the vector
+// when it was the last), and a write through a pointer kept past its
+// copy's invalidation, which puts a copy in a given-back tile.
+func TestCopyTableAudit(t *testing.T) {
+	tab, cs := NewInfinites(64)
+	a, _, _, _ := cs[0].Insert(0)
+	cs[1].Insert(0)
+	b, _, _, _ := cs[20].Insert(0)
+	if msgs := tab.Audit(); len(msgs) != 0 {
+		t.Fatalf("audit of a sound table: %v", msgs)
+	}
+	a.State = Invalid // past the table: nodes 0-15's tile counts 2 copies but holds 1
+	cs[20].Invalidate(0)
+	b.State = Shared // through a stale pointer: a given-back tile holds a copy
+	want := []string{
+		"copy table: tile of lines 0x0-0x7, nodes 0-15: count 2, valid slots 1",
+		"copy table: given-back tile: valid slots 1",
+	}
+	if got := tab.Audit(); !slices.Equal(got, want) {
+		t.Fatalf("audit:\n%q\nwant\n%q", got, want)
 	}
 }

@@ -24,10 +24,18 @@ import (
 //   - Uncached entries have no copies;
 //   - every valid copy carries the entry's current version — a trailing
 //     version is a stale copy (a lost invalidation or update).
+//
+// With infinite caches it first reports the copy table's own bookkeeping
+// (cache.Table.Audit): a tile whose count of copies is wrong, an empty
+// tile left in the table, or a given-back tile that holds a copy, each the
+// mark of a copy invalidated past the table.
 func (b *base) AuditConformance() []string {
 	var out []string
 	fail := func(format string, args ...any) {
 		out = append(out, fmt.Sprintf(format, args...))
+	}
+	if b.copies != nil {
+		out = append(out, b.copies.Audit()...)
 	}
 
 	copies := map[memsys.Addr][]copyInfo{}

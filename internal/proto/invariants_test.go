@@ -9,9 +9,11 @@ package proto
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"zsim/internal/cache"
 	"zsim/internal/memsys"
 	"zsim/internal/mesh"
 )
@@ -160,5 +162,77 @@ func TestAuditDetectsInjectedFaults(t *testing.T) {
 				t.Fatalf("%s with %s: audit never reported a violation containing %q", tc.kind, tc.fault, tc.want)
 			}
 		})
+	}
+}
+
+// TestInvalidationPathsGiveTilesBack drives each path that invalidates a
+// copy at 64 processors: RCinv's fan-out and ownership transfer, RCcomp's
+// self-invalidation, RCadapt's re-initialization and a Dir-2 pointer
+// eviction. The victim, node 20, is the only holder of its copy-table tile
+// (nodes 16–31 × lines 0–7), so the table must give the tile back, which
+// Copies.At shows as nil, and the audit, which checks the table's counts,
+// must stay clean, also once the victim has read the line again.
+func TestInvalidationPathsGiveTilesBack(t *testing.T) {
+	const victim, addr, line = 20, 64, 2
+	read := func(s memsys.MemSystem, p int, now Time) Time { return now + s.Read(p, addr, 8, now) + 1 }
+	write := func(s memsys.MemSystem, p int, now Time) Time {
+		now += s.Write(p, addr, 8, now) + 1
+		return now + s.Release(p, now) + 1
+	}
+	for _, tc := range []struct {
+		name        string
+		kind        memsys.Kind
+		dirPointers int
+		run         func(s memsys.MemSystem) Time
+	}{
+		{"rcinv-fan-out", memsys.KindRCInv, 0, func(s memsys.MemSystem) Time {
+			return write(s, 0, read(s, victim, 0))
+		}},
+		{"rcinv-ownership-transfer", memsys.KindRCInv, 0, func(s memsys.MemSystem) Time {
+			return write(s, 0, write(s, victim, 0))
+		}},
+		{"rccomp-self-invalidation", memsys.KindRCComp, 0, func(s memsys.MemSystem) Time {
+			return unreadUpdates(s, memsys.Default(64).CompThreshold, read(s, victim, 0))
+		}},
+		{"rcadapt-re-initialization", memsys.KindRCAdapt, 0, func(s memsys.MemSystem) Time {
+			return read(s, 40, write(s, 0, read(s, victim, 0)))
+		}},
+		{"dir-2-pointer-eviction", memsys.KindRCInv, 2, func(s memsys.MemSystem) Time {
+			return read(s, 50, read(s, 40, read(s, victim, 0)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := memsys.Default(64)
+			p.DirPointers = tc.dirPointers
+			s := MustNew(tc.kind, p, mesh.New(p))
+			b := baseOf(s)
+			now := tc.run(s)
+			if l := b.copies.Copies(line).At(victim); l != nil {
+				t.Fatalf("node %d's tile was not given back: its copy is %+v", victim, *l)
+			}
+			checkCoherence(t, b, tc.kind)
+			read(s, victim, now)
+			if l := b.copies.Copies(line).At(victim); l == nil || l.State == cache.Invalid {
+				t.Fatalf("node %d's re-read left no copy", victim)
+			}
+			checkCoherence(t, b, tc.kind)
+		})
+	}
+}
+
+// TestAuditReportsCopyTableBookkeeping: a copy made Invalid by a direct
+// write, past the copy table, leaves its tile counted but empty, and the
+// audit says so.
+func TestAuditReportsCopyTableBookkeeping(t *testing.T) {
+	p := memsys.Default(64)
+	s := MustNew(memsys.KindRCInv, p, mesh.New(p))
+	b := baseOf(s)
+	s.Read(20, 64, 8, 0)
+	l, _ := b.caches[20].Lookup(2)
+	l.State = cache.Invalid
+	b.dir.Entry(64).Sharers.Remove(20)
+	want := []string{"copy table: tile of lines 0x0-0x7, nodes 16-31: count 1, valid slots 0"}
+	if got := b.AuditConformance(); !slices.Equal(got, want) {
+		t.Fatalf("audit:\n%q\nwant\n%q", got, want)
 	}
 }

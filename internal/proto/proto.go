@@ -194,9 +194,7 @@ func (b *base) invalidate(line memsys.Addr, nodes []int) {
 	}
 	cp := b.copies.Copies(line)
 	for _, s := range nodes {
-		if l := cp.At(s); l != nil {
-			l.State = cache.Invalid
-		}
+		cp.Invalidate(s)
 	}
 }
 
