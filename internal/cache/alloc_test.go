@@ -36,7 +36,7 @@ func TestInfiniteSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // A copy that was its tile's last gives the tile back when invalidated,
-// by its node or through Copies, and the next insert takes it back; the
+// by its node or through the table, and the next insert takes it back; the
 // cycle allocates nothing at any table width.
 func TestInfiniteFreeReuseZeroAlloc(t *testing.T) {
 	for _, nodes := range []int{1, 64, memsys.MaxProcs} {
@@ -49,7 +49,7 @@ func TestInfiniteFreeReuseZeroAlloc(t *testing.T) {
 				c.Insert(line)
 				c.Invalidate(line) // gives the tile back
 				c.Insert(line)     // and takes it again
-				tab.Copies(line).Invalidate(n)
+				tab.Invalidate(line, n)
 			}); got != 0 {
 				t.Fatalf("a free and a reuse of a tile allocate %v times per run", got)
 			}

@@ -9,8 +9,8 @@
 // placed in it and given back when its last copy is invalidated, so the
 // table's memory follows the copies a run holds at once, not lines ×
 // nodes. A coherence fan-out reads a line's copies through Table.Copies,
-// one tile per 16 nodes, indexes them by sharer and invalidates them
-// through the same view. Finite caches have no table; a fan-out asks each
+// one tile per 16 nodes, indexes them by sharer, and invalidates them
+// with Table.Invalidate. Finite caches have no table; a fan-out asks each
 // sharer's cache with Lookup and Invalidate.
 package cache
 
@@ -149,7 +149,7 @@ type tile [tileSlots]Line
 // last, so a Line pointer the table hands out stays valid while its copy
 // is resident: once the copy is invalidated, its tile may come to hold
 // other lines' copies. Every invalidation goes through the table
-// (Cache.Invalidate, Copies.Invalidate) to keep the counts; Audit reports
+// (Cache.Invalidate, Table.Invalidate) to keep the counts; Audit reports
 // a copy made Invalid past them.
 type Table struct {
 	tiles  []*tile // nil where the tile holds no copy
@@ -197,13 +197,25 @@ func (t *Table) tile(i, col uint64) (uint64, *tile) {
 	return g + col, p
 }
 
-// drop invalidates l, a resident copy in tile ti, and gives the tile back
-// when l was its last copy.
-func (t *Table) drop(l *Line, ti uint64) {
-	l.State = Invalid
-	if t.counts[ti]--; t.counts[ti] == 0 {
-		t.free = append(t.free, t.tiles[ti])
-		t.tiles[ti] = nil
+// Invalidate drops node n's copy of the line, if it holds one, as n's
+// Cache.Invalidate does; a coherence fan-out calls it for each sharer.
+func (t *Table) Invalidate(line memsys.Addr, n int) {
+	t.invalidate(uint64(line), uint64(n)/tileNodes, uint64(n)%tileNodes)
+}
+
+// invalidate drops the copy of line i at the node-th node of column col,
+// if it is resident, and gives its tile back when it was the tile's last.
+func (t *Table) invalidate(i, col, node uint64) {
+	if ti := t.group(i) + col; ti < uint64(len(t.tiles)) {
+		if p := t.tiles[ti]; p != nil {
+			if l := &p[t.slot(i, node)]; l.State != Invalid {
+				l.State = Invalid
+				if t.counts[ti]--; t.counts[ti] == 0 {
+					t.free = append(t.free, p)
+					t.tiles[ti] = nil
+				}
+			}
+		}
 	}
 }
 
@@ -211,7 +223,7 @@ func (t *Table) drop(l *Line, ti uint64) {
 // order: a tile whose count differs from the copies it holds (an empty
 // tile left in the vector is one), or a given-back tile that holds a copy.
 // Either follows from a copy made Invalid past Cache.Invalidate and
-// Copies.Invalidate, or from a write through a pointer kept past its
+// Table.Invalidate, or from a write through a pointer kept past its
 // copy's invalidation.
 func (t *Table) Audit() []string {
 	var out []string
@@ -249,37 +261,29 @@ func resident(p *tile) int {
 func (t *Table) Copies(line memsys.Addr) Copies {
 	i := uint64(line)
 	if g := t.group(i); g < uint64(len(t.tiles)) {
-		return Copies{t: t, tiles: t.tiles[g : g+t.cols : g+t.cols], first: g, row: t.slot(i, 0)}
+		return Copies{tiles: t.tiles[g : g+t.cols : g+t.cols], row: t.slot(i, 0)}
 	}
 	return Copies{}
 }
 
 // Copies is one line's copies in a Table: the line's tiles, one per
-// tileNodes nodes, and the line's row within each.
+// tileNodes nodes, and the line's row within each. Keep it within 32
+// bytes: the compiler keeps a struct that small in registers through an
+// update fan-out's loop, and copies a larger one through the stack for
+// each sharer.
 type Copies struct {
-	t     *Table
 	tiles []*tile
-	first uint64 // the index of tiles[0] in the table's vector
 	row   uint64 // the line's first slot in each tile
 }
 
 // At returns node n's copy of the line, or nil when n's tile holds no copy
 // of any of its lines. A copy At returns is resident only when its State
-// is not Invalid.
+// is not Invalid; Table.Invalidate, not a store to State, drops it.
 func (c Copies) At(n int) *Line {
 	if k := uint(n) / tileNodes; k < uint(len(c.tiles)) && c.tiles[k] != nil {
 		return &c.tiles[k][(c.row|uint64(n)%tileNodes)%tileSlots]
 	}
 	return nil
-}
-
-// Invalidate drops node n's copy of the line, if it holds one, as
-// Cache.Invalidate does: it gives the copy's tile back when that was the
-// tile's last copy.
-func (c Copies) Invalidate(n int) {
-	if l := c.At(n); l != nil && l.State != Invalid {
-		c.t.drop(l, c.first+uint64(n)/tileNodes)
-	}
 }
 
 // infinite is one node's view of a shared copy table.
@@ -289,23 +293,16 @@ type infinite struct {
 	node uint64 // the node's slot within each of its tiles' rows
 }
 
-// at returns the node's slot for the line, resident or not, and the index
-// of its tile in the vector, or nil when the tile holds no copy.
-func (c *infinite) at(line memsys.Addr) (*Line, uint64) {
-	t, i := c.t, uint64(line)
-	if ti := t.group(i) + c.col; ti < uint64(len(t.tiles)) {
-		if p := t.tiles[ti]; p != nil {
-			return &p[t.slot(i, c.node)], ti
-		}
-	}
-	return nil, 0
-}
-
 // Lookup is on every access's path: one load of the tile's pointer and
 // one of the slot's State.
 func (c *infinite) Lookup(line memsys.Addr) (*Line, bool) {
-	if l, _ := c.at(line); l != nil && l.State != Invalid {
-		return l, true
+	t, i := c.t, uint64(line)
+	if ti := t.group(i) + c.col; ti < uint64(len(t.tiles)) {
+		if p := t.tiles[ti]; p != nil {
+			if l := &p[t.slot(i, c.node)]; l.State != Invalid {
+				return l, true
+			}
+		}
 	}
 	return nil, false
 }
@@ -321,11 +318,7 @@ func (c *infinite) Insert(line memsys.Addr) (*Line, memsys.Addr, State, bool) {
 	return l, 0, Invalid, false
 }
 
-func (c *infinite) Invalidate(line memsys.Addr) {
-	if l, ti := c.at(line); l != nil && l.State != Invalid {
-		c.t.drop(l, ti)
-	}
-}
+func (c *infinite) Invalidate(line memsys.Addr) { c.t.invalidate(uint64(line), c.col, c.node) }
 
 func (c *infinite) Touch(memsys.Addr) {}
 func (c *infinite) Evictions() uint64 { return 0 }

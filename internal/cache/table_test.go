@@ -17,7 +17,7 @@ const (
 	opLookup
 	opInvalidate
 	opAt           // read the copy through Table.Copies
-	opInvalidateAt // drop the copy through Table.Copies, as a fan-out does
+	opInvalidateAt // then drop it with Table.Invalidate, as a fan-out does
 	opForEach      // ForEach and Len of the node
 	numOps
 )
@@ -143,8 +143,7 @@ func checkCopyOps(t *testing.T, nodes int, ops []byte) {
 			cs[n].Invalidate(k.line)
 			drop(k)
 		case opAt, opInvalidateAt:
-			cp := tab.Copies(k.line)
-			l := cp.At(n)
+			l := tab.Copies(k.line).At(n)
 			switch {
 			case l == nil && has:
 				t.Fatalf("step %d: Copies(%d).At(%d) is nil, but node %d holds the line", step, k.line, n, n)
@@ -157,7 +156,7 @@ func checkCopyOps(t *testing.T, nodes int, ops []byte) {
 				same(step, k, l)
 			}
 			if ops[0]%numOps == opInvalidateAt {
-				cp.Invalidate(n)
+				tab.Invalidate(k.line, n)
 				drop(k)
 			}
 		case opForEach:
@@ -280,9 +279,9 @@ func TestCopyTableMemoryWide(t *testing.T) {
 
 // TestCopyTableReuseWide: at 1,024 nodes, the tiles that invalidation
 // gives back are taken again before any tile is carved. One column's
-// 1,000 copies, half invalidated by their nodes and half through Copies,
-// leave no tile in the vector, and as many copies of other lines in
-// another column carve nothing.
+// 1,000 copies, half invalidated by their nodes and half through
+// Table.Invalidate, leave no tile in the vector, and as many copies of
+// other lines in another column carve nothing.
 func TestCopyTableReuseWide(t *testing.T) {
 	const lines = 1000
 	tab, cs := NewInfinites(memsys.MaxProcs)
@@ -297,7 +296,7 @@ func TestCopyTableReuseWide(t *testing.T) {
 		if n := 512 + line*7%16; line%2 == 0 {
 			cs[n].Invalidate(memsys.Addr(line))
 		} else {
-			tab.Copies(memsys.Addr(line)).Invalidate(n)
+			tab.Invalidate(memsys.Addr(line), n)
 		}
 	}
 	if n := countTiles(tab); n != 0 || len(tab.free) != carved {

@@ -182,8 +182,7 @@ func (b *base) sharers(e *directory.Entry, p int) []int {
 }
 
 // invalidate drops the listed nodes' copies of the line, through the
-// line's copies when the caches share a table, and counts one
-// invalidation each.
+// copy table when the caches share one, and counts one invalidation each.
 func (b *base) invalidate(line memsys.Addr, nodes []int) {
 	b.ctr.Invalidations += uint64(len(nodes))
 	if b.copies == nil {
@@ -192,9 +191,8 @@ func (b *base) invalidate(line memsys.Addr, nodes []int) {
 		}
 		return
 	}
-	cp := b.copies.Copies(line)
 	for _, s := range nodes {
-		cp.Invalidate(s)
+		b.copies.Invalidate(line, s)
 	}
 }
 
