@@ -9,9 +9,9 @@
 // placed in it and given back when its last copy is invalidated, so the
 // table's memory follows the copies a run holds at once, not lines ×
 // nodes. A coherence fan-out reads a line's copies through Table.Copies,
-// one tile per 16 nodes, indexes them by sharer, and invalidates them
-// with Table.Invalidate. Finite caches have no table; a fan-out asks each
-// sharer's cache with Lookup and Invalidate.
+// one tile per 16 nodes, and indexes them by sharer; it invalidates a copy
+// with its node's Invalidate. Finite caches have no table; a fan-out asks
+// each sharer's cache with Lookup.
 package cache
 
 import (
@@ -148,9 +148,9 @@ type tile [tileSlots]Line
 // or else carved from a slab, and leaves it for the free list with its
 // last, so a Line pointer the table hands out stays valid while its copy
 // is resident: once the copy is invalidated, its tile may come to hold
-// other lines' copies. Every invalidation goes through the table
-// (Cache.Invalidate, Table.Invalidate) to keep the counts; Audit reports
-// a copy made Invalid past them.
+// other lines' copies. Every invalidation goes through a node's
+// Cache.Invalidate, which keeps the counts; Audit reports a copy made
+// Invalid past it.
 type Table struct {
 	tiles  []*tile // nil where the tile holds no copy
 	counts []uint8 // the copies each tile of the vector holds, 0 where nil
@@ -197,34 +197,11 @@ func (t *Table) tile(i, col uint64) (uint64, *tile) {
 	return g + col, p
 }
 
-// Invalidate drops node n's copy of the line, if it holds one, as n's
-// Cache.Invalidate does; a coherence fan-out calls it for each sharer.
-func (t *Table) Invalidate(line memsys.Addr, n int) {
-	t.invalidate(uint64(line), uint64(n)/tileNodes, uint64(n)%tileNodes)
-}
-
-// invalidate drops the copy of line i at the node-th node of column col,
-// if it is resident, and gives its tile back when it was the tile's last.
-func (t *Table) invalidate(i, col, node uint64) {
-	if ti := t.group(i) + col; ti < uint64(len(t.tiles)) {
-		if p := t.tiles[ti]; p != nil {
-			if l := &p[t.slot(i, node)]; l.State != Invalid {
-				l.State = Invalid
-				if t.counts[ti]--; t.counts[ti] == 0 {
-					t.free = append(t.free, p)
-					t.tiles[ti] = nil
-				}
-			}
-		}
-	}
-}
-
 // Audit checks the table's bookkeeping and describes each fault, in tile
 // order: a tile whose count differs from the copies it holds (an empty
 // tile left in the vector is one), or a given-back tile that holds a copy.
-// Either follows from a copy made Invalid past Cache.Invalidate and
-// Table.Invalidate, or from a write through a pointer kept past its
-// copy's invalidation.
+// Either follows from a copy made Invalid past Cache.Invalidate, or from
+// a write through a pointer kept past its copy's invalidation.
 func (t *Table) Audit() []string {
 	var out []string
 	for ti, p := range t.tiles {
@@ -278,7 +255,8 @@ type Copies struct {
 
 // At returns node n's copy of the line, or nil when n's tile holds no copy
 // of any of its lines. A copy At returns is resident only when its State
-// is not Invalid; Table.Invalidate, not a store to State, drops it.
+// is not Invalid; its node's Cache.Invalidate, not a store to State,
+// drops it.
 func (c Copies) At(n int) *Line {
 	if k := uint(n) / tileNodes; k < uint(len(c.tiles)) && c.tiles[k] != nil {
 		return &c.tiles[k][(c.row|uint64(n)%tileNodes)%tileSlots]
@@ -318,7 +296,22 @@ func (c *infinite) Insert(line memsys.Addr) (*Line, memsys.Addr, State, bool) {
 	return l, 0, Invalid, false
 }
 
-func (c *infinite) Invalidate(line memsys.Addr) { c.t.invalidate(uint64(line), c.col, c.node) }
+// Invalidate drops the node's copy of the line, if it is resident, and
+// gives its tile back when it was the tile's last.
+func (c *infinite) Invalidate(line memsys.Addr) {
+	t, i := c.t, uint64(line)
+	if ti := t.group(i) + c.col; ti < uint64(len(t.tiles)) {
+		if p := t.tiles[ti]; p != nil {
+			if l := &p[t.slot(i, c.node)]; l.State != Invalid {
+				l.State = Invalid
+				if t.counts[ti]--; t.counts[ti] == 0 {
+					t.free = append(t.free, p)
+					t.tiles[ti] = nil
+				}
+			}
+		}
+	}
+}
 
 func (c *infinite) Touch(memsys.Addr) {}
 func (c *infinite) Evictions() uint64 { return 0 }

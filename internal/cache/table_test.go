@@ -17,7 +17,7 @@ const (
 	opLookup
 	opInvalidate
 	opAt           // read the copy through Table.Copies
-	opInvalidateAt // then drop it with Table.Invalidate, as a fan-out does
+	opInvalidateAt // then drop it with the node's Invalidate, as RCcomp's self-invalidation does
 	opForEach      // ForEach and Len of the node
 	numOps
 )
@@ -156,7 +156,7 @@ func checkCopyOps(t *testing.T, nodes int, ops []byte) {
 				same(step, k, l)
 			}
 			if ops[0]%numOps == opInvalidateAt {
-				tab.Invalidate(k.line, n)
+				cs[n].Invalidate(k.line)
 				drop(k)
 			}
 		case opForEach:
@@ -279,9 +279,8 @@ func TestCopyTableMemoryWide(t *testing.T) {
 
 // TestCopyTableReuseWide: at 1,024 nodes, the tiles that invalidation
 // gives back are taken again before any tile is carved. One column's
-// 1,000 copies, half invalidated by their nodes and half through
-// Table.Invalidate, leave no tile in the vector, and as many copies of
-// other lines in another column carve nothing.
+// 1,000 copies, once invalidated, leave no tile in the vector, and as
+// many copies of other lines in another column carve nothing.
 func TestCopyTableReuseWide(t *testing.T) {
 	const lines = 1000
 	tab, cs := NewInfinites(memsys.MaxProcs)
@@ -293,11 +292,7 @@ func TestCopyTableReuseWide(t *testing.T) {
 	fill(0, 32)
 	carved := tab.carved
 	for line := 0; line < lines; line++ {
-		if n := 512 + line*7%16; line%2 == 0 {
-			cs[n].Invalidate(memsys.Addr(line))
-		} else {
-			tab.Invalidate(memsys.Addr(line), n)
-		}
+		cs[512+line*7%16].Invalidate(memsys.Addr(line))
 	}
 	if n := countTiles(tab); n != 0 || len(tab.free) != carved {
 		t.Fatalf("with every copy invalidated the vector holds %d tiles and %d of %d are given back, want 0 and all", n, len(tab.free), carved)

@@ -129,7 +129,7 @@ func TestAuditDetectsInjectedFaults(t *testing.T) {
 		want  string
 	}{
 		{memsys.KindRCUpd, "drop-update", "stale copy"},
-		{memsys.KindRCInv, "drop-inval", "line"},
+		{memsys.KindRCInv, "drop-inval", "line 0x"}, // the directory sweep's, not the copy table's "lines 0x"
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -181,18 +181,12 @@ func (b *base) sharers(e *directory.Entry, p int) []int {
 	return b.targets
 }
 
-// invalidate drops the listed nodes' copies of the line, through the
-// copy table when the caches share one, and counts one invalidation each.
+// invalidate drops the listed nodes' copies of the line and counts one
+// invalidation each.
 func (b *base) invalidate(line memsys.Addr, nodes []int) {
 	b.ctr.Invalidations += uint64(len(nodes))
-	if b.copies == nil {
-		for _, s := range nodes {
-			b.caches[s].Invalidate(line)
-		}
-		return
-	}
 	for _, s := range nodes {
-		b.copies.Invalidate(line, s)
+		b.caches[s].Invalidate(line)
 	}
 }
 
